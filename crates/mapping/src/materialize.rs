@@ -204,15 +204,14 @@ mod tests {
                 },
             ],
         });
-        let before = skipped_total().get();
         let (abox, stats) = materialize_with_stats(&ms, &db).unwrap();
         assert_eq!(stats.skipped_rows, vec![0, 3]);
         assert_eq!(stats.total_skipped(), 3);
         assert_eq!(abox.role_instances(reports).count(), 1);
         assert_eq!(abox.attribute_instances(name).count(), 2);
-        // The registry totals move by exactly this run's skips (the
-        // registry is process-global, so assert on the delta).
-        assert_eq!(skipped_total().get() - before, 3);
+        // The registry side is checked in tests/skipped_rows_registry.rs,
+        // a test binary of its own: the registry is process-global and
+        // sibling tests here materialize NULL rows concurrently.
     }
 
     #[test]

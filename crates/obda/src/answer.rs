@@ -1,9 +1,15 @@
 //! CQ/UCQ evaluation over a concrete [`Abox`] ("ABox mode").
 //!
-//! A straightforward backtracking join, atom by atom, with bindings over
-//! individuals and values. This is both the execution engine for
+//! Each disjunct is compiled once, then run: its variables become dense
+//! slots (bindings over individuals and values live in a slice, not a
+//! map keyed by name), and `plan_join` picks the atom order — the
+//! given one when every atom after the first joins an earlier one,
+//! otherwise a greedy order that starts from constants and small
+//! extensions and follows bound variables. The run is a backtracking
+//! join over that order. This is both the execution engine for
 //! materialized OBDA and the reference evaluator the rewriting tests
-//! compare against.
+//! compare against; the NDL evaluator ([`crate::rewrite::ndl`]) shares
+//! the planner.
 //!
 //! The engine runs off an [`AboxIndex`]: per-predicate fact lists plus
 //! secondary hash indexes (role facts by subject and by object,
@@ -45,12 +51,6 @@ impl std::fmt::Display for AnswerTerm {
 
 /// A set of answer tuples (sorted, deduplicated).
 pub type Answers = BTreeSet<Vec<AnswerTerm>>;
-
-#[derive(Debug, Clone, PartialEq)]
-enum Binding {
-    Ind(IndividualId),
-    Val(Value),
-}
 
 /// Concept extension: member list (for free-variable iteration) plus a
 /// membership set (for bound-term probes).
@@ -227,21 +227,13 @@ pub fn evaluate_ucq(u: &Ucq, abox: &Abox) -> Answers {
 /// Evaluates a CQ against a prebuilt index. The index must have been
 /// built from this `abox`.
 pub fn evaluate_cq_indexed(q: &ConjunctiveQuery, abox: &Abox, index: &AboxIndex) -> Answers {
-    let mut answers = Answers::new();
-    let mut bindings: HashMap<String, Binding> = HashMap::new();
-    eval_rec(q, abox, index, 0, &mut bindings, &mut answers);
-    answers
+    eval_disjuncts([q], abox, index).0
 }
 
 /// Evaluates a UCQ against a prebuilt index (union of the disjuncts'
 /// answers).
 pub fn evaluate_ucq_indexed(u: &Ucq, abox: &Abox, index: &AboxIndex) -> Answers {
-    let mut out = Answers::new();
-    for q in &u.disjuncts {
-        let mut bindings: HashMap<String, Binding> = HashMap::new();
-        eval_rec(q, abox, index, 0, &mut bindings, &mut out);
-    }
-    out
+    eval_disjuncts(&u.disjuncts, abox, index).0
 }
 
 /// Evaluates a set of disjuncts (borrowed from one or more UCQs)
@@ -254,18 +246,13 @@ pub fn evaluate_disjuncts_indexed(
     abox: &Abox,
     index: &AboxIndex,
 ) -> Answers {
-    let mut out = Answers::new();
-    for q in disjuncts {
-        let mut bindings: HashMap<String, Binding> = HashMap::new();
-        eval_rec(q, abox, index, 0, &mut bindings, &mut out);
-    }
-    out
+    eval_disjuncts(disjuncts.iter().copied(), abox, index).0
 }
 
 /// [`evaluate_ucq_parallel`] under an `eval` trace span. Exactly one
 /// span is recorded, from the coordinating thread, with the resolved
-/// thread count as a counter — so a trace's phase set is identical for
-/// every `threads` value.
+/// thread count and the join steps of every thread as counters — so a
+/// trace's phase set is identical for every `threads` value.
 pub fn evaluate_ucq_parallel_traced(
     u: &Ucq,
     abox: &Abox,
@@ -276,7 +263,9 @@ pub fn evaluate_ucq_parallel_traced(
     let guard = obda_obs::span!(ctx, "eval");
     guard.count("threads", threads.clamp(1, u.disjuncts.len().max(1)) as u64);
     guard.count("disjuncts", u.len() as u64);
-    evaluate_ucq_parallel(u, abox, index, threads)
+    let (answers, join_steps) = eval_ucq_parallel(u, abox, index, threads);
+    guard.count("join_steps", join_steps);
+    answers
 }
 
 /// Evaluates a UCQ with the disjuncts sharded round-robin over
@@ -284,232 +273,455 @@ pub fn evaluate_ucq_parallel_traced(
 /// [`Answers`] set; the ordered merge makes the result identical to
 /// [`evaluate_ucq_indexed`] for every thread count.
 pub fn evaluate_ucq_parallel(u: &Ucq, abox: &Abox, index: &AboxIndex, threads: usize) -> Answers {
+    eval_ucq_parallel(u, abox, index, threads).0
+}
+
+fn eval_ucq_parallel(u: &Ucq, abox: &Abox, index: &AboxIndex, threads: usize) -> (Answers, u64) {
     let shard_count = threads.clamp(1, u.disjuncts.len().max(1));
     if shard_count <= 1 {
-        return evaluate_ucq_indexed(u, abox, index);
-    }
-    let mut shards: Vec<Vec<&ConjunctiveQuery>> = vec![Vec::new(); shard_count];
-    for (i, q) in u.disjuncts.iter().enumerate() {
-        // lint: allow(R1.index, "i % shard_count < shard_count == shards.len() by the vec! above")
-        shards[i % shard_count].push(q);
+        return eval_disjuncts(&u.disjuncts, abox, index);
     }
     let mut out = Answers::new();
+    let mut join_steps = 0;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                scope.spawn(move || {
-                    let mut acc = Answers::new();
-                    for q in shard {
-                        let mut bindings: HashMap<String, Binding> = HashMap::new();
-                        eval_rec(q, abox, index, 0, &mut bindings, &mut acc);
-                    }
-                    acc
-                })
+        let handles: Vec<_> = (0..shard_count)
+            .map(|k| {
+                let shard = u.disjuncts.iter().skip(k).step_by(shard_count);
+                scope.spawn(move || eval_disjuncts(shard, abox, index))
             })
             .collect();
         for h in handles {
             // lint: allow(R1.expect, "join() only fails if the shard panicked; re-raising hands the panic to the serving layer's per-request catch_unwind instead of silently dropping answers")
-            out.extend(h.join().expect("UCQ evaluation shard panicked"));
+            let (answers, steps) = h.join().expect("UCQ evaluation shard panicked");
+            out.extend(answers);
+            join_steps += steps;
         }
     });
-    out
+    (out, join_steps)
 }
 
-fn eval_rec(
-    q: &ConjunctiveQuery,
+/// The join kernel: evaluates `disjuncts` one by one, each compiled
+/// once into dense variable slots and a [`plan_join`] order, and
+/// returns their unioned answers with the join steps — the candidate
+/// facts the joins enumerated from scans and hash buckets (the
+/// `join_steps` counter of the `eval` span; membership probes of bound
+/// terms are not counted).
+pub(crate) fn eval_disjuncts<'a>(
+    disjuncts: impl IntoIterator<Item = &'a ConjunctiveQuery>,
     abox: &Abox,
-    index: &AboxIndex,
-    atom_idx: usize,
-    bindings: &mut HashMap<String, Binding>,
-    answers: &mut Answers,
-) {
-    if atom_idx == q.atoms.len() {
-        let mut tuple = Vec::with_capacity(q.head.len());
-        for h in &q.head {
-            match bindings.get(h) {
-                Some(Binding::Ind(i)) => {
-                    tuple.push(AnswerTerm::Iri(abox.individual_name(*i).to_owned()))
-                }
-                Some(Binding::Val(v)) => tuple.push(AnswerTerm::Value(v.clone())),
-                None => return, // unsafe query guard; parser prevents this
-            }
+    index: &'a AboxIndex,
+) -> (Answers, u64) {
+    let mut out = Answers::new();
+    let mut plan = Compiled::default();
+    let mut slots = Vec::new();
+    let mut join_steps = 0;
+    for q in disjuncts {
+        if compile_cq(&mut plan, q, abox, index) {
+            slots.clear();
+            slots.resize(plan.num_slots(), None);
+            let mut join = CqJoin {
+                abox,
+                steps: &plan.steps,
+                head: &plan.head,
+                slots: &mut slots,
+                out: &mut out,
+                tried: 0,
+            };
+            join.run(0);
+            join_steps += join.tried;
         }
-        answers.insert(tuple);
+    }
+    (out, join_steps)
+}
+
+/// The planner's view of one body atom.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AtomShape {
+    /// Variable slots of the atom's (at most two) arguments.
+    slots: [Option<usize>; 2],
+    /// Whether an argument is a constant or a literal.
+    has_const: bool,
+    /// Size of the extension the atom is evaluated against.
+    extent: usize,
+}
+
+impl AtomShape {
+    /// The shape of an atom whose arguments have these slots (`None` for
+    /// a constant or a literal) over an extension of `extent` facts.
+    pub(crate) fn of(args: &[Option<usize>], extent: usize) -> AtomShape {
+        AtomShape {
+            slots: [
+                args.first().copied().flatten(),
+                args.get(1).copied().flatten(),
+            ],
+            has_const: args.contains(&None),
+            extent,
+        }
+    }
+
+    fn vars(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots.iter().flatten().copied()
+    }
+}
+
+/// The join-order policy of both in-memory kernels: writes into `order`
+/// the positions of `shapes` in evaluation order. Slots must be
+/// numbered by first occurrence over `shapes`, as both kernels compile
+/// them, so "a variable of an earlier atom" is a slot below the count
+/// of slots seen so far.
+///
+/// The given order is kept when every atom after the first touches a
+/// constant or an earlier variable. Otherwise atoms are picked
+/// greedily: those tied to a constant or an already-bound variable
+/// first, then fewest free variables, then smallest extent, then
+/// position.
+pub(crate) fn plan_join(shapes: &[AtomShape], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..shapes.len());
+    let mut seen = 0;
+    let mut connected = true;
+    for (i, a) in shapes.iter().enumerate() {
+        if i > 0 && !a.has_const && !a.vars().any(|s| s < seen) {
+            connected = false;
+            break;
+        }
+        seen = a.vars().fold(seen, |m, s| m.max(s + 1));
+    }
+    if connected {
         return;
     }
-    // lint: allow(R1.index, "recursion invariant: atom_idx < q.atoms.len() is checked by the base case above")
-    let atom = &q.atoms[atom_idx];
-    // Resolve a term against current bindings: Some(required) or None
-    // (free — the variable binds per candidate fact).
-    let resolve =
-        |t: &Term, bindings: &HashMap<String, Binding>| -> Result<Option<IndividualId>, ()> {
-            match t {
-                Term::Const(name) => match abox.find_individual(name) {
-                    Some(i) => Ok(Some(i)),
-                    None => Err(()), // constant absent from the ABox: no match
-                },
-                Term::Var(v) => match bindings.get(v) {
-                    Some(Binding::Ind(i)) => Ok(Some(*i)),
-                    Some(Binding::Val(_)) => Err(()), // sort clash
-                    None => Ok(None),
-                },
-            }
-        };
-    match atom {
-        Atom::Concept(c, t) => {
-            let want = match resolve(t, bindings) {
-                Ok(w) => w,
-                Err(()) => return,
-            };
-            let Some(facts) = index.concepts.get(&c.0) else {
-                return;
-            };
-            match want {
-                // Bound term: a membership probe instead of a scan.
-                Some(w) => {
-                    if facts.set.contains(&w) {
-                        eval_rec(q, abox, index, atom_idx + 1, bindings, answers);
-                    }
-                }
-                None => {
-                    for &ai in &facts.members {
-                        with_binding(t, Binding::Ind(ai), bindings, |b| {
-                            eval_rec(q, abox, index, atom_idx + 1, b, answers)
-                        });
-                    }
-                }
-            }
-        }
-        Atom::Role(p, s, o) => {
-            let want_s = match resolve(s, bindings) {
-                Ok(w) => w,
-                Err(()) => return,
-            };
-            let want_o = match resolve(o, bindings) {
-                Ok(w) => w,
-                Err(()) => return,
-            };
-            let Some(facts) = index.roles.get(&p.0) else {
-                return;
-            };
-            match (want_s, want_o) {
-                // Both ends fixed: a containment probe.
-                (Some(ws), Some(wo)) => {
-                    if facts
-                        .by_subject
-                        .get(&ws)
-                        .is_some_and(|objs| objs.contains(&wo))
-                    {
-                        eval_rec(q, abox, index, atom_idx + 1, bindings, answers);
-                    }
-                }
-                // Subject fixed: walk its adjacency list. `o` is an
-                // unbound variable distinct from any bound one.
-                (Some(ws), None) => {
-                    for &aobj in facts.by_subject.get(&ws).map(Vec::as_slice).unwrap_or(&[]) {
-                        with_binding(o, Binding::Ind(aobj), bindings, |b| {
-                            eval_rec(q, abox, index, atom_idx + 1, b, answers)
-                        });
-                    }
-                }
-                // Object fixed: reverse adjacency.
-                (None, Some(wo)) => {
-                    for &asub in facts.by_object.get(&wo).map(Vec::as_slice).unwrap_or(&[]) {
-                        with_binding(s, Binding::Ind(asub), bindings, |b| {
-                            eval_rec(q, abox, index, atom_idx + 1, b, answers)
-                        });
-                    }
-                }
-                // Both free: scan the pair list. Bind subject, then
-                // object (same variable in both positions must match).
-                (None, None) => {
-                    for (asub, aobj) in &facts.pairs {
-                        with_binding(s, Binding::Ind(*asub), bindings, |b| {
-                            let consistent = match o {
-                                Term::Var(v) => match b.get(v) {
-                                    Some(Binding::Ind(i)) => i == aobj,
-                                    Some(Binding::Val(_)) => false,
-                                    None => true,
-                                },
-                                Term::Const(_) => true, // unreachable: want_o would be Some
-                            };
-                            if consistent {
-                                with_binding(o, Binding::Ind(*aobj), b, |b2| {
-                                    eval_rec(q, abox, index, atom_idx + 1, b2, answers)
-                                });
-                            }
-                        });
-                    }
-                }
-            }
-        }
-        Atom::Attribute(u, s, v) => {
-            let want_s = match resolve(s, bindings) {
-                Ok(w) => w,
-                Err(()) => return,
-            };
-            let Some(facts) = index.attributes.get(&u.0) else {
-                return;
-            };
-            let try_fact = |asub: IndividualId,
-                            aval: &Value,
-                            bindings: &mut HashMap<String, Binding>,
-                            answers: &mut Answers| {
-                let value_ok = match v {
-                    ValueTerm::Lit(l) => l == aval,
-                    ValueTerm::Var(x) => match bindings.get(x) {
-                        Some(Binding::Val(bound)) => bound == aval,
-                        Some(Binding::Ind(_)) => false,
-                        None => true,
-                    },
+    let num_slots = shapes
+        .iter()
+        .flat_map(AtomShape::vars)
+        .max()
+        .map_or(0, |s| s + 1);
+    let mut bound = vec![false; num_slots];
+    for k in 0..order.len() {
+        let rest = order.get(k..).unwrap_or(&[]);
+        let best = rest
+            .iter()
+            .enumerate()
+            .filter_map(|(j, &pos)| shapes.get(pos).map(|a| (j, pos, a)))
+            .min_by_key(|&(_, pos, a)| {
+                let is_bound = |s: usize| bound.get(s) == Some(&true);
+                let tied = a.has_const || a.vars().any(is_bound);
+                let free = match a.slots {
+                    [Some(x), Some(y)] if x == y => usize::from(!is_bound(x)),
+                    _ => a.vars().filter(|&s| !is_bound(s)).count(),
                 };
-                if !value_ok {
-                    return;
-                }
-                with_binding(s, Binding::Ind(asub), bindings, |b| match v {
-                    ValueTerm::Var(x) if !b.contains_key(x) => {
-                        b.insert(x.clone(), Binding::Val(aval.clone()));
-                        eval_rec(q, abox, index, atom_idx + 1, b, answers);
-                        b.remove(x);
-                    }
-                    _ => eval_rec(q, abox, index, atom_idx + 1, b, answers),
-                });
-            };
-            match want_s {
-                // Bound subject: only its value bucket.
-                Some(ws) => {
-                    for aval in facts.by_subject.get(&ws).map(Vec::as_slice).unwrap_or(&[]) {
-                        try_fact(ws, aval, bindings, answers);
-                    }
-                }
-                None => {
-                    for (asub, aval) in &facts.pairs {
-                        try_fact(*asub, aval, bindings, answers);
-                    }
-                }
+                (!tied, free, a.extent, pos)
+            });
+        let Some((j, _, a)) = best else { break };
+        order.swap(k, k + j);
+        for s in a.vars() {
+            if let Some(b) = bound.get_mut(s) {
+                *b = true;
             }
         }
     }
 }
 
-/// Runs `f` with `t` bound (if it is an unbound variable), restoring the
-/// binding map afterwards.
-fn with_binding(
-    t: &Term,
-    b: Binding,
-    bindings: &mut HashMap<String, Binding>,
-    mut f: impl FnMut(&mut HashMap<String, Binding>),
-) {
-    match t {
-        Term::Var(v) if !bindings.contains_key(v) => {
-            // Only proceed if consistent (caller pre-checked want).
-            bindings.insert(v.clone(), b);
-            f(bindings);
-            bindings.remove(v);
+/// A slot's value during a join: an individual, or a data value borrowed
+/// from the index or the query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Binding<'a> {
+    Ind(IndividualId),
+    Val(&'a Value),
+}
+
+/// A compiled argument of either kernel: a constant, as a value of the
+/// kernel's binding type `B`, or a variable slot.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Arg<B> {
+    Const(B),
+    Slot(usize),
+}
+
+impl<B: Copy> Arg<B> {
+    pub(crate) fn slot(self) -> Option<usize> {
+        match self {
+            Arg::Slot(s) => Some(s),
+            Arg::Const(_) => None,
         }
-        _ => f(bindings),
     }
+
+    /// The argument's value under `slots`, or `Err(slot)` when it is a
+    /// free slot.
+    pub(crate) fn resolve(self, slots: &[Option<B>]) -> Result<B, usize> {
+        match self {
+            Arg::Const(b) => Ok(b),
+            Arg::Slot(s) => slots.get(s).copied().flatten().ok_or(s),
+        }
+    }
+}
+
+/// One compiled atom, bound to its predicate's facts.
+#[derive(Debug, Clone, Copy)]
+enum Step<'a> {
+    Concept(&'a ConceptFacts, Arg<Binding<'a>>),
+    Role(&'a RoleFacts, Arg<Binding<'a>>, Arg<Binding<'a>>),
+    Attr(&'a AttrFacts, Arg<Binding<'a>>, Arg<Binding<'a>>),
+}
+
+/// A body compiled for one of the join kernels: dense variable slots,
+/// the kernel's steps in planned order, and the head's slots. The
+/// buffers are reused from body to body, so a UCQ of thousands of
+/// one-atom disjuncts allocates them once.
+pub(crate) struct Compiled<'a, S> {
+    names: Vec<&'a str>,
+    given: Vec<S>,
+    shapes: Vec<AtomShape>,
+    order: Vec<usize>,
+    /// Steps in planned order.
+    pub(crate) steps: Vec<S>,
+    /// Slot of each head variable.
+    pub(crate) head: Vec<usize>,
+}
+
+impl<S> Default for Compiled<'_, S> {
+    fn default() -> Self {
+        Compiled {
+            names: Vec::new(),
+            given: Vec::new(),
+            shapes: Vec::new(),
+            order: Vec::new(),
+            steps: Vec::new(),
+            head: Vec::new(),
+        }
+    }
+}
+
+impl<'a, S: Copy> Compiled<'a, S> {
+    /// Starts the next body.
+    pub(crate) fn reset(&mut self) {
+        self.names.clear();
+        self.given.clear();
+        self.shapes.clear();
+    }
+
+    /// The slot of `var`; slots are numbered by first occurrence.
+    pub(crate) fn slot(&mut self, var: &'a str) -> usize {
+        match self.names.iter().position(|n| *n == var) {
+            Some(s) => s,
+            None => {
+                self.names.push(var);
+                self.names.len() - 1
+            }
+        }
+    }
+
+    /// Appends the body's next atom.
+    pub(crate) fn push(&mut self, step: S, shape: AtomShape) {
+        self.given.push(step);
+        self.shapes.push(shape);
+    }
+
+    /// Maps the head onto slots and plans the join order; false when a
+    /// head variable is missing from the body (the parser rejects such
+    /// queries).
+    pub(crate) fn finish(&mut self, head: &[String]) -> bool {
+        self.head.clear();
+        for h in head {
+            match self.names.iter().position(|n| n == h) {
+                Some(s) => self.head.push(s),
+                None => return false,
+            }
+        }
+        plan_join(&self.shapes, &mut self.order);
+        self.steps.clear();
+        let given = &self.given;
+        self.steps
+            .extend(self.order.iter().filter_map(|&i| given.get(i).copied()));
+        true
+    }
+
+    /// Number of variable slots of the body.
+    pub(crate) fn num_slots(&self) -> usize {
+        self.names.len()
+    }
+}
+
+/// Compiles `q` for [`CqJoin`]; false when it cannot match (a predicate
+/// with no facts, a constant absent from the ABox, an unsafe head).
+fn compile_cq<'a>(
+    c: &mut Compiled<'a, Step<'a>>,
+    q: &'a ConjunctiveQuery,
+    abox: &Abox,
+    index: &'a AboxIndex,
+) -> bool {
+    // `None` when the term is a constant absent from the ABox.
+    let arg = |c: &mut Compiled<'a, Step<'a>>, t: &'a Term| match t {
+        Term::Const(name) => abox
+            .find_individual(name)
+            .map(|i| Arg::Const(Binding::Ind(i))),
+        Term::Var(v) => Some(Arg::Slot(c.slot(v))),
+    };
+    c.reset();
+    for atom in &q.atoms {
+        let (step, shape) = match atom {
+            Atom::Concept(p, t) => {
+                let (Some(facts), Some(t)) = (index.concepts.get(&p.0), arg(c, t)) else {
+                    return false;
+                };
+                let shape = AtomShape::of(&[t.slot()], facts.members.len());
+                (Step::Concept(facts, t), shape)
+            }
+            Atom::Role(p, s, o) => {
+                let (Some(facts), Some(s), Some(o)) = (index.roles.get(&p.0), arg(c, s), arg(c, o))
+                else {
+                    return false;
+                };
+                let shape = AtomShape::of(&[s.slot(), o.slot()], facts.pairs.len());
+                (Step::Role(facts, s, o), shape)
+            }
+            Atom::Attribute(u, s, v) => {
+                let (Some(facts), Some(s)) = (index.attributes.get(&u.0), arg(c, s)) else {
+                    return false;
+                };
+                let v = match v {
+                    ValueTerm::Lit(l) => Arg::Const(Binding::Val(l)),
+                    ValueTerm::Var(x) => Arg::Slot(c.slot(x)),
+                };
+                let shape = AtomShape::of(&[s.slot(), v.slot()], facts.pairs.len());
+                (Step::Attr(facts, s, v), shape)
+            }
+        };
+        c.push(step, shape);
+    }
+    c.finish(&q.head)
+}
+
+/// One run of a compiled disjunct: a backtracking join over the planned
+/// steps, probing hash buckets for bound terms.
+struct CqJoin<'a, 'r> {
+    abox: &'r Abox,
+    steps: &'r [Step<'a>],
+    head: &'r [usize],
+    slots: &'r mut [Option<Binding<'a>>],
+    out: &'r mut Answers,
+    tried: u64,
+}
+
+impl<'a> CqJoin<'a, '_> {
+    fn run(&mut self, depth: usize) {
+        let Some(&step) = self.steps.get(depth) else {
+            self.emit();
+            return;
+        };
+        let next = depth + 1;
+        match step {
+            Step::Concept(facts, t) => match t.resolve(self.slots) {
+                Ok(Binding::Ind(i)) => {
+                    if facts.set.contains(&i) {
+                        self.run(next);
+                    }
+                }
+                Ok(Binding::Val(_)) => {} // sort clash
+                Err(s) => {
+                    for &m in &facts.members {
+                        self.tried += 1;
+                        self.descend(s, Binding::Ind(m), next);
+                    }
+                }
+            },
+            Step::Role(facts, s, o) => match (s.resolve(self.slots), o.resolve(self.slots)) {
+                (Ok(Binding::Val(_)), _) | (_, Ok(Binding::Val(_))) => {} // sort clash
+                (Ok(Binding::Ind(ws)), Ok(Binding::Ind(wo))) => {
+                    if bucket(&facts.by_subject, &ws).contains(&wo) {
+                        self.run(next);
+                    }
+                }
+                (Ok(Binding::Ind(ws)), Err(os)) => {
+                    for &ob in bucket(&facts.by_subject, &ws) {
+                        self.tried += 1;
+                        self.descend(os, Binding::Ind(ob), next);
+                    }
+                }
+                (Err(ss), Ok(Binding::Ind(wo))) => {
+                    for &sb in bucket(&facts.by_object, &wo) {
+                        self.tried += 1;
+                        self.descend(ss, Binding::Ind(sb), next);
+                    }
+                }
+                (Err(ss), Err(os)) => {
+                    for &(sb, ob) in &facts.pairs {
+                        self.tried += 1;
+                        if ss == os {
+                            if sb == ob {
+                                self.descend(ss, Binding::Ind(sb), next);
+                            }
+                        } else {
+                            self.set(ss, Some(Binding::Ind(sb)));
+                            self.descend(os, Binding::Ind(ob), next);
+                            self.set(ss, None);
+                        }
+                    }
+                }
+            },
+            Step::Attr(facts, s, v) => match s.resolve(self.slots) {
+                Ok(Binding::Ind(ws)) => {
+                    for val in bucket(&facts.by_subject, &ws) {
+                        self.tried += 1;
+                        self.match_value(v, val, next);
+                    }
+                }
+                Ok(Binding::Val(_)) => {} // sort clash
+                Err(ss) => {
+                    for (sb, val) in &facts.pairs {
+                        self.tried += 1;
+                        self.set(ss, Some(Binding::Ind(*sb)));
+                        self.match_value(v, val, next);
+                        self.set(ss, None);
+                    }
+                }
+            },
+        }
+    }
+
+    fn set(&mut self, slot: usize, b: Option<Binding<'a>>) {
+        if let Some(x) = self.slots.get_mut(slot) {
+            *x = b;
+        }
+    }
+
+    /// Binds `slot` for the rest of the join, then unbinds it.
+    fn descend(&mut self, slot: usize, b: Binding<'a>, next: usize) {
+        self.set(slot, Some(b));
+        self.run(next);
+        self.set(slot, None);
+    }
+
+    /// Continues the join if a fact's value matches the value position.
+    fn match_value(&mut self, v: Arg<Binding<'a>>, val: &'a Value, next: usize) {
+        match v.resolve(self.slots) {
+            Ok(Binding::Val(b)) => {
+                if b == val {
+                    self.run(next);
+                }
+            }
+            Ok(Binding::Ind(_)) => {} // sort clash
+            Err(k) => self.descend(k, Binding::Val(val), next),
+        }
+    }
+
+    fn emit(&mut self) {
+        let mut tuple = Vec::with_capacity(self.head.len());
+        for &h in self.head {
+            match self.slots.get(h).copied().flatten() {
+                Some(Binding::Ind(i)) => {
+                    tuple.push(AnswerTerm::Iri(self.abox.individual_name(i).to_owned()))
+                }
+                Some(Binding::Val(v)) => tuple.push(AnswerTerm::Value(v.clone())),
+                None => return,
+            }
+        }
+        self.out.insert(tuple);
+    }
+}
+
+/// A hash bucket as a slice (empty when the key is absent).
+fn bucket<'m, K: std::hash::Hash + Eq, V>(map: &'m HashMap<K, Vec<V>>, key: &K) -> &'m [V] {
+    map.get(key).map(Vec::as_slice).unwrap_or(&[])
 }
 
 #[cfg(test)]
@@ -593,5 +805,169 @@ mod tests {
         let ans = evaluate_cq(&q, &ab);
         // (x1,x1), (x1,x2), (x2,x1), (x2,x2 via 5 and via "hi").
         assert_eq!(ans.len(), 4);
+    }
+
+    /// Every atom after the first touches a constant or a variable of
+    /// an earlier atom.
+    fn connected(shapes: &[AtomShape], order: &[usize]) -> bool {
+        let mut bound: Vec<usize> = Vec::new();
+        order.iter().enumerate().all(|(k, &i)| {
+            let a = &shapes[i];
+            let ok = k == 0 || a.has_const || a.vars().any(|s| bound.contains(&s));
+            bound.extend(a.vars());
+            ok
+        })
+    }
+
+    #[test]
+    fn planner_connects_the_canonical_q3_shape() {
+        // GradStudent(v0), FullProfessor(v1), teacherOf(v1, v2),
+        // takesCourse(v0, v2): the canonical order starts with a cross
+        // product of the two concepts.
+        let shapes = [
+            AtomShape::of(&[Some(0)], 224),
+            AtomShape::of(&[Some(1)], 80),
+            AtomShape::of(&[Some(1), Some(2)], 96),
+            AtomShape::of(&[Some(0), Some(2)], 900),
+        ];
+        assert!(!connected(&shapes, &[0, 1, 2, 3]));
+        let mut order = Vec::new();
+        plan_join(&shapes, &mut order);
+        assert!(connected(&shapes, &order), "{order:?}");
+        // The smaller concept opens the join.
+        assert_eq!(order, vec![1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn planner_keeps_an_order_that_is_already_connected() {
+        // Student(x), takesCourse(x, y), Course(y), u(y, "t"): large
+        // extents first, but every atom joins an earlier one.
+        let shapes = [
+            AtomShape::of(&[Some(0)], 5_000),
+            AtomShape::of(&[Some(0), Some(1)], 9_000),
+            AtomShape::of(&[Some(1)], 10),
+            AtomShape::of(&[Some(1), None], 1),
+        ];
+        let mut order = Vec::new();
+        plan_join(&shapes, &mut order);
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        // A constant alone connects an atom too.
+        let ground = [AtomShape::of(&[Some(0)], 7), AtomShape::of(&[None], 3)];
+        plan_join(&ground, &mut order);
+        assert_eq!(order, vec![0, 1]);
+    }
+
+    #[test]
+    fn disconnected_queries_still_answer_the_cross_product() {
+        let (sig, ab) = setup();
+        let q = parse_cq("q(x, y) :- A(x), B(y)", &sig).unwrap();
+        assert_eq!(names(&evaluate_cq(&q, &ab)), vec!["x1,x2", "x2,x2"]);
+        let q2 = parse_cq("q(x, n) :- p(x, y), u(z, n), B(y)", &sig).unwrap();
+        assert_eq!(
+            names(&evaluate_cq(&q2, &ab)),
+            vec!["x1,5", "x1,\"hi\"", "x2,5", "x2,\"hi\""]
+        );
+    }
+
+    #[test]
+    fn edge_cases_answer_alike_in_every_atom_order() {
+        let (sig, mut ab) = setup();
+        let u = sig.find_attribute("u").unwrap();
+        ab.assert_attribute(u, "x2", Value::Int(5));
+        // (query bodies, expected answers) — each body in every order.
+        let cases: [(&str, &[&str], &[&str]); 7] = [
+            // A repeated variable.
+            ("q(x)", &["p(x, x)", "A(x)", "B(x)"], &["x2"]),
+            // A constant absent from the ABox, joined and disconnected.
+            ("q(y)", &["A(y)", "p(\"ghost\", y)"], &[]),
+            ("q(x)", &["A(x)", "B(\"ghost\")"], &[]),
+            // A value variable shared by two attribute atoms.
+            (
+                "q(x, y)",
+                &["u(x, n)", "u(y, n)", "A(x)"],
+                &["x1,x1", "x1,x2", "x2,x1", "x2,x2"],
+            ),
+            // A variable in both an IRI and a value position: individuals
+            // and values are disjoint, so it never matches, in one atom
+            // or across two.
+            ("q(x)", &["A(x)", "u(y, x)"], &[]),
+            ("q(y)", &["u(y, x)", "p(x, z)"], &[]),
+            ("q(x)", &["u(x, x)", "A(x)"], &[]),
+        ];
+        let index = AboxIndex::build(&ab);
+        for (head, body, want) in cases {
+            for perm in permutations(body.len()) {
+                let atoms: Vec<&str> = perm.iter().map(|&i| body[i]).collect();
+                let text = format!("{head} :- {}", atoms.join(", "));
+                let q = parse_cq(&text, &sig).unwrap();
+                assert_eq!(names(&evaluate_cq_indexed(&q, &ab, &index)), want, "{text}");
+            }
+        }
+    }
+
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for p in permutations(n - 1) {
+            for at in 0..=p.len() {
+                let mut q = p.clone();
+                q.insert(at, n - 1);
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    /// Join steps of `q` evaluated in its given atom order.
+    fn steps_in_given_order(q: &ConjunctiveQuery, abox: &Abox, index: &AboxIndex) -> u64 {
+        let mut plan = Compiled::default();
+        assert!(compile_cq(&mut plan, q, abox, index));
+        let mut slots = vec![None; plan.num_slots()];
+        let mut out = Answers::new();
+        let mut join = CqJoin {
+            abox,
+            steps: &plan.given,
+            head: &plan.head,
+            slots: &mut slots,
+            out: &mut out,
+            tried: 0,
+        };
+        join.run(0);
+        join.tried
+    }
+
+    #[test]
+    fn q3_join_steps_undercut_the_canonical_cross_product() {
+        use obda_genont::university_scenario;
+        // Scale 20: at scale 1 the cross product is only 16 × 2 pairs.
+        let scenario = university_scenario(20, 42);
+        let db = crate::demo::load_database(&scenario).unwrap();
+        let abox = obda_mapping::materialize(&crate::demo::build_mappings(&scenario), &db).unwrap();
+        let q3 = &scenario.queries[2];
+        let q = parse_cq(&q3.text, &scenario.tbox.sig).unwrap();
+        let ucq = crate::prune_ucq(&crate::perfect_ref(&q, &scenario.tbox));
+        assert_eq!(ucq.len(), 1);
+        let index = AboxIndex::build(&abox);
+        let ctx = obda_obs::TraceCtx::new();
+        let answers = evaluate_ucq_parallel_traced(&ucq, &abox, &index, 1, &ctx);
+        let trace = ctx.finish("ok", answers.len() as u64).unwrap();
+        let steps = trace.counter("join_steps");
+        assert!(!answers.is_empty());
+        assert!(steps > 0);
+        // The canonical order (GradStudent, FullProfessor, …) binds every
+        // pair of the two concepts before its first join probe.
+        let count = |name: &str| {
+            let c = scenario.tbox.sig.find_concept(name).unwrap();
+            abox.concept_instances(c).count() as u64
+        };
+        let cross = count("GradStudent") * count("FullProfessor");
+        let canonical = steps_in_given_order(&ucq.disjuncts[0], &abox, &index);
+        assert!(canonical >= cross, "{canonical} < {cross}");
+        assert!(
+            steps < cross,
+            "{steps} join steps planned vs the {cross}-pair cross product"
+        );
     }
 }

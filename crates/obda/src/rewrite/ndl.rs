@@ -24,8 +24,10 @@
 //!   [`AboxIndex`], keyed by name so per-shard extents merge without
 //!   re-interning; a [`ViewMemo`] caches extents per ABox epoch
 //!   (`ndl_view_memo_{hit,miss}` registry counters), and
-//!   [`eval_skeletons`] joins the strata bottom-up with a backtracking
-//!   join mirroring the UCQ evaluator;
+//!   [`eval_skeletons`] joins each skeleton over the extents: compiled
+//!   to slots and ordered by the UCQ evaluator's planner
+//!   ([`crate::answer`]), with extent sizes as the cost, then a
+//!   backtracking join that iterates extent buckets by reference;
 //! * **virtual mode**: [`answer_ndl_virtual_traced`] compiles the whole
 //!   program into **one** SQL plan — each view extent is a
 //!   [`Plan::SharedScan`] (CTE-style `WITH v AS (...)`) over the union of
@@ -60,7 +62,7 @@ use obda_sqlstore::{
 use quonto::sync::lock_or_recover;
 use quonto::Classification;
 
-use crate::answer::{AboxIndex, AnswerTerm, Answers};
+use crate::answer::{AboxIndex, AnswerTerm, Answers, Arg, AtomShape, Compiled};
 use crate::error::{ErrorPhase, ObdaError};
 use crate::query::{ConjunctiveQuery, Term, ValueTerm};
 use crate::rewrite::presto::{
@@ -249,7 +251,7 @@ pub(crate) fn ndl_compile_traced_ebox(
 }
 
 // ---------------------------------------------------------------------------
-// Native evaluation: name-keyed view extents + memo + backtracking join.
+// Native evaluation: name-keyed view extents + memo + planned join.
 // ---------------------------------------------------------------------------
 
 /// A materialized view extent, keyed by individual *name* so per-shard
@@ -597,184 +599,217 @@ fn atom_args(atom: &ViewAtom) -> (ViewPred, Vec<SkArg<'_>>) {
     }
 }
 
-/// Evaluates the stratum-1 skeletons over materialized view extents:
-/// a backtracking join (mirroring the UCQ evaluator's structure) with
-/// name bindings, answers merged into a [`BTreeSet`].
+/// Evaluates the stratum-1 skeletons over materialized view extents,
+/// answers merged into a [`BTreeSet`]. Each skeleton is compiled once
+/// into slots and a join order (the UCQ kernel's planner, with extent
+/// sizes read off `extents`), then joined probing the extents' indexes.
 pub fn eval_skeletons(
     queries: &[ViewQuery],
     extents: &HashMap<ViewPred, Arc<ViewExtent>>,
 ) -> Answers {
-    let mut answers = Answers::new();
+    join_skeletons(queries, extents).0
+}
+
+/// [`eval_skeletons`] plus the join steps: candidates enumerated from
+/// extent scans and buckets (the `join_steps` counter of the `eval`
+/// span; membership probes of bound terms are not counted).
+pub(crate) fn join_skeletons(
+    queries: &[ViewQuery],
+    extents: &HashMap<ViewPred, Arc<ViewExtent>>,
+) -> (Answers, u64) {
+    let mut out = Answers::new();
+    let mut plan = Compiled::default();
+    let mut slots = Vec::new();
+    let mut join_steps = 0;
     for vq in queries {
-        let atoms: Vec<(ViewPred, Vec<SkArg<'_>>)> = vq.atoms.iter().map(atom_args).collect();
-        let mut bindings: HashMap<String, ExtTerm> = HashMap::new();
-        eval_rec(vq, &atoms, 0, extents, &mut bindings, &mut answers);
-    }
-    answers
-}
-
-/// Resolves an IRI-position argument to a concrete name, if bound.
-/// `Err(())` means a sort clash (the variable is bound to a value).
-fn resolve_iri(a: &SkArg<'_>, bindings: &HashMap<String, ExtTerm>) -> Result<Option<String>, ()> {
-    match a {
-        SkArg::IriConst(c) => Ok(Some((*c).to_string())),
-        SkArg::IriVar(v) => match bindings.get(*v) {
-            Some(ExtTerm::Iri(s)) => Ok(Some(s.clone())),
-            Some(ExtTerm::Val(_)) => Err(()),
-            None => Ok(None),
-        },
-        _ => Err(()),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn with_binding(
-    var: &str,
-    val: ExtTerm,
-    vq: &ViewQuery,
-    atoms: &[(ViewPred, Vec<SkArg<'_>>)],
-    idx: usize,
-    extents: &HashMap<ViewPred, Arc<ViewExtent>>,
-    bindings: &mut HashMap<String, ExtTerm>,
-    answers: &mut Answers,
-) {
-    bindings.insert(var.to_string(), val);
-    eval_rec(vq, atoms, idx + 1, extents, bindings, answers);
-    bindings.remove(var);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_rec(
-    vq: &ViewQuery,
-    atoms: &[(ViewPred, Vec<SkArg<'_>>)],
-    idx: usize,
-    extents: &HashMap<ViewPred, Arc<ViewExtent>>,
-    bindings: &mut HashMap<String, ExtTerm>,
-    answers: &mut Answers,
-) {
-    if idx == atoms.len() {
-        let mut tuple = Vec::with_capacity(vq.head.len());
-        for h in &vq.head {
-            match bindings.get(h) {
-                Some(ExtTerm::Iri(s)) => tuple.push(AnswerTerm::Iri(s.clone())),
-                Some(ExtTerm::Val(v)) => tuple.push(AnswerTerm::Value(v.clone())),
-                None => return, // unsafe head var; cannot happen on parsed queries
-            }
-        }
-        answers.insert(tuple);
-        return;
-    }
-    // lint: allow(R1.index, "idx == atoms.len() returned above and eval_rec only increments by 1")
-    let (pred, args) = &atoms[idx];
-    let Some(ext) = extents.get(pred) else { return };
-    match args.as_slice() {
-        [t] => {
-            let Ok(want) = resolve_iri(t, bindings) else {
-                return;
+        if compile_skeleton(&mut plan, vq, extents) {
+            slots.clear();
+            slots.resize(plan.num_slots(), None);
+            let mut join = SkeletonJoin {
+                steps: &plan.steps,
+                head: &plan.head,
+                slots: &mut slots,
+                out: &mut out,
+                tried: 0,
             };
-            match want {
-                Some(n) => {
-                    if ext.member_set.contains(&n) {
-                        eval_rec(vq, atoms, idx + 1, extents, bindings, answers);
+            join.run(0);
+            join_steps += join.tried;
+        }
+    }
+    (out, join_steps)
+}
+
+/// A slot's value during a skeleton join, borrowed from an extent or
+/// the skeleton.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Bound<'a> {
+    Iri(&'a str),
+    Val(&'a Value),
+}
+
+impl<'a> Bound<'a> {
+    fn of(t: &'a ExtTerm) -> Bound<'a> {
+        match t {
+            ExtTerm::Iri(s) => Bound::Iri(s),
+            ExtTerm::Val(v) => Bound::Val(v),
+        }
+    }
+
+    fn matches(self, t: &ExtTerm) -> bool {
+        match (self, t) {
+            (Bound::Iri(a), ExtTerm::Iri(b)) => a == b,
+            (Bound::Val(a), ExtTerm::Val(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// One compiled skeleton atom over its view extent.
+#[derive(Debug, Clone, Copy)]
+enum Step<'a> {
+    Unary(&'a ViewExtent, Arg<Bound<'a>>),
+    Binary(&'a ViewExtent, Arg<Bound<'a>>, Arg<Bound<'a>>),
+}
+
+/// Compiles `vq` for [`SkeletonJoin`]; false when it cannot match (a
+/// view without an extent, an unsafe head).
+fn compile_skeleton<'a>(
+    c: &mut Compiled<'a, Step<'a>>,
+    vq: &'a ViewQuery,
+    extents: &'a HashMap<ViewPred, Arc<ViewExtent>>,
+) -> bool {
+    let iri = |c: &mut Compiled<'a, Step<'a>>, t: &'a Term| match t {
+        Term::Const(name) => Arg::Const(Bound::Iri(name)),
+        Term::Var(v) => Arg::Slot(c.slot(v)),
+    };
+    c.reset();
+    for atom in &vq.atoms {
+        let (pred, s, o) = match atom {
+            ViewAtom::ConceptView(b, t) => (ViewPred::Concept(*b), iri(c, t), None),
+            ViewAtom::RoleView(r, s, o) => {
+                let s = iri(c, s);
+                (ViewPred::Role(*r), s, Some(iri(c, o)))
+            }
+            ViewAtom::AttrView(u, s, v) => {
+                let s = iri(c, s);
+                let v = match v {
+                    ValueTerm::Var(x) => Arg::Slot(c.slot(x)),
+                    ValueTerm::Lit(l) => Arg::Const(Bound::Val(l)),
+                };
+                (ViewPred::Attr(*u), s, Some(v))
+            }
+        };
+        let Some(ext) = extents.get(&pred) else {
+            return false;
+        };
+        match o {
+            None => c.push(Step::Unary(ext, s), AtomShape::of(&[s.slot()], ext.len())),
+            Some(o) => c.push(
+                Step::Binary(ext, s, o),
+                AtomShape::of(&[s.slot(), o.slot()], ext.len()),
+            ),
+        }
+    }
+    c.finish(&vq.head)
+}
+
+/// One run of a compiled skeleton: a backtracking join over the planned
+/// steps, iterating extent buckets by reference.
+struct SkeletonJoin<'a, 'r> {
+    steps: &'r [Step<'a>],
+    head: &'r [usize],
+    slots: &'r mut [Option<Bound<'a>>],
+    out: &'r mut Answers,
+    tried: u64,
+}
+
+impl<'a> SkeletonJoin<'a, '_> {
+    fn run(&mut self, depth: usize) {
+        let Some(&step) = self.steps.get(depth) else {
+            self.emit();
+            return;
+        };
+        let next = depth + 1;
+        match step {
+            Step::Unary(ext, t) => match t.resolve(self.slots) {
+                Ok(Bound::Iri(n)) => {
+                    if ext.member_set.contains(n) {
+                        self.run(next);
                     }
                 }
-                None => {
-                    let SkArg::IriVar(v) = t else { return };
+                Ok(Bound::Val(_)) => {} // sort clash
+                Err(s) => {
                     for n in &ext.members {
-                        with_binding(
-                            v,
-                            ExtTerm::Iri(n.clone()),
-                            vq,
-                            atoms,
-                            idx,
-                            extents,
-                            bindings,
-                            answers,
-                        );
+                        self.tried += 1;
+                        self.descend(s, Bound::Iri(n), next);
                     }
                 }
-            }
-        }
-        [s, o] => {
-            let Ok(ws) = resolve_iri(s, bindings) else {
-                return;
-            };
-            // Object side: IRI (role view) or value (attribute view).
-            let wo: Option<ExtTerm> = match o {
-                SkArg::IriConst(c) => Some(ExtTerm::Iri((*c).to_string())),
-                SkArg::ValLit(l) => Some(ExtTerm::Val((*l).clone())),
-                SkArg::IriVar(v) | SkArg::ValVar(v) => bindings.get(*v).cloned(),
-            };
-            let obj_var = match o {
-                SkArg::IriVar(v) | SkArg::ValVar(v) => Some(*v),
-                _ => None,
-            };
-            match (ws, wo) {
-                (Some(sn), Some(ob)) => {
-                    if ext
-                        .by_subject
-                        .get(&sn)
-                        .is_some_and(|objs| objs.contains(&ob))
-                    {
-                        eval_rec(vq, atoms, idx + 1, extents, bindings, answers);
+            },
+            Step::Binary(ext, s, o) => match (s.resolve(self.slots), o.resolve(self.slots)) {
+                (Ok(Bound::Val(_)), _) => {} // sort clash
+                (Ok(Bound::Iri(sn)), Ok(ob)) => {
+                    let objs = ext.by_subject.get(sn).map_or(&[][..], Vec::as_slice);
+                    if objs.iter().any(|e| ob.matches(e)) {
+                        self.run(next);
                     }
                 }
-                (Some(sn), None) => {
-                    let Some(v) = obj_var else { return };
-                    if let Some(objs) = ext.by_subject.get(&sn) {
-                        for ob in objs.clone() {
-                            with_binding(v, ob, vq, atoms, idx, extents, bindings, answers);
-                        }
+                (Ok(Bound::Iri(sn)), Err(os)) => {
+                    for e in ext.by_subject.get(sn).map_or(&[][..], Vec::as_slice) {
+                        self.tried += 1;
+                        self.descend(os, Bound::of(e), next);
                     }
                 }
-                (None, Some(ob)) => {
-                    let SkArg::IriVar(v) = s else { return };
-                    if let Some(subs) = ext.by_object.get(&ob) {
-                        for sn in subs.clone() {
-                            with_binding(
-                                v,
-                                ExtTerm::Iri(sn),
-                                vq,
-                                atoms,
-                                idx,
-                                extents,
-                                bindings,
-                                answers,
-                            );
-                        }
+                (Err(ss), Ok(ob)) => {
+                    let key = match ob {
+                        Bound::Iri(n) => ExtTerm::Iri(n.to_string()),
+                        Bound::Val(v) => ExtTerm::Val(v.clone()),
+                    };
+                    for sn in ext.by_object.get(&key).map_or(&[][..], Vec::as_slice) {
+                        self.tried += 1;
+                        self.descend(ss, Bound::Iri(sn), next);
                     }
                 }
-                (None, None) => {
-                    let SkArg::IriVar(sv) = s else { return };
-                    let Some(ov) = obj_var else { return };
-                    for (sn, ob) in ext.pairs.clone() {
-                        if *sv == ov {
-                            // Same variable on both sides: require equality.
-                            if ExtTerm::Iri(sn.clone()) != ob {
-                                continue;
+                (Err(ss), Err(os)) => {
+                    for (sn, e) in &ext.pairs {
+                        self.tried += 1;
+                        if ss == os {
+                            if Bound::Iri(sn).matches(e) {
+                                self.descend(ss, Bound::Iri(sn), next);
                             }
-                            with_binding(
-                                sv,
-                                ExtTerm::Iri(sn),
-                                vq,
-                                atoms,
-                                idx,
-                                extents,
-                                bindings,
-                                answers,
-                            );
                         } else {
-                            bindings.insert(sv.to_string(), ExtTerm::Iri(sn));
-                            bindings.insert(ov.to_string(), ob);
-                            eval_rec(vq, atoms, idx + 1, extents, bindings, answers);
-                            bindings.remove(ov);
-                            bindings.remove(*sv);
+                            self.set(ss, Some(Bound::Iri(sn)));
+                            self.descend(os, Bound::of(e), next);
+                            self.set(ss, None);
                         }
                     }
                 }
+            },
+        }
+    }
+
+    fn set(&mut self, slot: usize, b: Option<Bound<'a>>) {
+        if let Some(x) = self.slots.get_mut(slot) {
+            *x = b;
+        }
+    }
+
+    /// Binds `slot` for the rest of the join, then unbinds it.
+    fn descend(&mut self, slot: usize, b: Bound<'a>, next: usize) {
+        self.set(slot, Some(b));
+        self.run(next);
+        self.set(slot, None);
+    }
+
+    fn emit(&mut self) {
+        let mut tuple = Vec::with_capacity(self.head.len());
+        for &h in self.head {
+            match self.slots.get(h).copied().flatten() {
+                Some(Bound::Iri(s)) => tuple.push(AnswerTerm::Iri(s.to_string())),
+                Some(Bound::Val(v)) => tuple.push(AnswerTerm::Value(v.clone())),
+                None => return,
             }
         }
-        _ => {}
+        self.out.insert(tuple);
     }
 }
 
@@ -806,7 +841,9 @@ pub fn answer_ndl_indexed_traced(
         );
         extents.insert(def.pred(), ext);
     }
-    eval_skeletons(&prog.queries, &extents)
+    let (answers, join_steps) = join_skeletons(&prog.queries, &extents);
+    guard.count("join_steps", join_steps);
+    answers
 }
 
 // ---------------------------------------------------------------------------

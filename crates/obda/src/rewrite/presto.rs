@@ -27,6 +27,7 @@ use std::collections::{HashSet, VecDeque};
 use obda_dllite::{AttributeId, BasicConcept, BasicRole, RoleId};
 use quonto::{Classification, NodeId, NodeKind};
 
+use crate::answer::{eval_disjuncts, AboxIndex};
 use crate::query::{Atom, ConjunctiveQuery, Term, ValueTerm};
 
 /// An atom over a *view* of the classified ontology.
@@ -748,30 +749,34 @@ pub fn attr_view_members(cls: &Classification, u: AttributeId) -> Vec<AttributeI
 }
 
 /// Evaluates a view query directly over an ABox (ABox-mode Presto
-/// answering; also the test oracle for the SQL unfolding).
+/// answering; also the test oracle for the SQL unfolding). Builds one
+/// [`AboxIndex`] per call.
 pub fn evaluate_view_query(
     vq: &ViewQuery,
     cls: &Classification,
     abox: &obda_dllite::Abox,
 ) -> crate::answer::Answers {
-    evaluate_view_query_ebox(vq, cls, abox, None)
+    let index = AboxIndex::build(abox);
+    evaluate_view_query_ebox(vq, cls, abox, &index, None).0
 }
 
-/// [`evaluate_view_query`] with EBox member pruning: members with
-/// provably empty or subsumed asserted extensions are skipped before
-/// the cross-product is built (counted `ebox_pruned_views`), which the
-/// evaluation-level containments keep answer-preserving.
+/// [`evaluate_view_query`] over a prebuilt index of `abox`, with EBox
+/// member pruning: members with provably empty or subsumed asserted
+/// extensions are skipped before the cross-product is built (counted
+/// `ebox_pruned_views`), which the evaluation-level containments keep
+/// answer-preserving. Returns the answers and the join steps tried.
 pub(crate) fn evaluate_view_query_ebox(
     vq: &ViewQuery,
     cls: &Classification,
     abox: &obda_dllite::Abox,
+    index: &AboxIndex,
     ebox: Option<&obda_mapping::Ebox>,
-) -> crate::answer::Answers {
+) -> (crate::answer::Answers, u64) {
     use crate::rewrite::eboxprune::{
         prune_attr_members, prune_concept_members, prune_role_members,
     };
     // Expand each view atom into a UCQ-of-basics and evaluate the cross
-    // product of choices through the plain CQ evaluator.
+    // product of choices through the CQ join kernel.
     let mut disjuncts: Vec<ConjunctiveQuery> = vec![ConjunctiveQuery {
         head: vq.head.clone(),
         atoms: Vec::new(),
@@ -831,11 +836,7 @@ pub(crate) fn evaluate_view_query_ebox(
         }
         disjuncts = next;
     }
-    let mut answers = crate::answer::Answers::new();
-    for d in &disjuncts {
-        answers.extend(crate::answer::evaluate_cq(d, abox));
-    }
-    answers
+    eval_disjuncts(&disjuncts, abox, index)
 }
 
 fn basic_membership_atom(b: BasicConcept, t: Term, fresh: usize) -> Atom {

@@ -53,7 +53,7 @@ use obda_obs::{registry, span, Counter, TraceCtx, TraceSink};
 use quonto::sync::{lock_or_recover, wait_timeout_or_recover};
 use quonto::Classification;
 
-use crate::answer::{evaluate_disjuncts_indexed, AboxIndex, Answers};
+use crate::answer::{eval_disjuncts, AboxIndex, Answers};
 use crate::delta::{
     maintain_merged_memo, record_batch, resolve_delta, AboxDelta, DeltaSummary, ResolvedFact,
 };
@@ -62,7 +62,7 @@ use crate::engine::{run_with_engine_trace, EngineStats, QueryEngine, QueryLang, 
 use crate::error::ObdaError;
 use crate::query::{Atom, ConjunctiveQuery, Term};
 use crate::rewrite::ndl::{
-    eval_skeletons, memoized_extent, merge_extents, DataEpoch, NdlProgram, ViewDef, ViewExtent,
+    join_skeletons, memoized_extent, merge_extents, DataEpoch, NdlProgram, ViewDef, ViewExtent,
     ViewMemo, ViewPred,
 };
 use crate::system::{
@@ -421,15 +421,16 @@ impl ShardedAboxSystem {
         work_items.min(cores).max(1)
     }
 
-    /// Evaluates routed disjuncts on one shard, under its gate.
-    fn eval_on_shard(&self, i: usize, disjuncts: &[&ConjunctiveQuery]) -> Answers {
+    /// Evaluates routed disjuncts on one shard, under its gate; returns
+    /// the answers and the join steps tried.
+    fn eval_on_shard(&self, i: usize, disjuncts: &[&ConjunctiveQuery]) -> (Answers, u64) {
         // lint: allow(R1.index, "i comes from routing over 0..self.shards.len()")
         let shard = &self.shards[i];
         shard.requests.fetch_add(1, Ordering::Relaxed);
         let _permit = shard.gate.acquire();
         shard
             .system
-            .with_data(|d| evaluate_disjuncts_indexed(disjuncts, &d.abox, &d.index))
+            .with_data(|d| eval_disjuncts(disjuncts.iter().copied(), &d.abox, &d.index))
     }
 
     /// The union ABox + index for cross-shard disjuncts, built on first
@@ -472,13 +473,14 @@ impl ShardedAboxSystem {
     }
 
     /// Scatters per-shard work onto scoped threads and gathers with an
-    /// ordered merge. Per-shard timing spans are recorded after the
-    /// merge, in shard order, so the trace is deterministic.
+    /// ordered merge; returns the answers, the threads used and the join
+    /// steps of every shard. Per-shard timing spans are recorded after
+    /// the merge, in shard order, so the trace is deterministic.
     fn scatter_eval(
         &self,
         per_shard: &[Vec<&ConjunctiveQuery>],
         ctx: &TraceCtx,
-    ) -> (Answers, usize) {
+    ) -> (Answers, usize, u64) {
         let work: Vec<usize> = per_shard
             .iter()
             .enumerate()
@@ -486,12 +488,12 @@ impl ShardedAboxSystem {
             .map(|(i, _)| i)
             .collect();
         if work.is_empty() {
-            return (Answers::new(), 1);
+            return (Answers::new(), 1, 0);
         }
         let par = self.scatter_parallelism(work.len());
-        // (shard, disjuncts, start_us, dur_us) per shard evaluated.
-        let mut timings: Vec<(usize, usize, u64, u64)> = Vec::with_capacity(work.len());
+        let mut timings: Vec<ShardTiming> = Vec::with_capacity(work.len());
         let mut merged = Answers::new();
+        let mut join_steps = 0;
         if par <= 1 {
             // Inline sequential path: on a 1-core host (or 1 busy
             // shard) thread spawn overhead would only slow things down.
@@ -499,10 +501,11 @@ impl ShardedAboxSystem {
                 let start_us = ctx.now_us();
                 let t = Instant::now();
                 // lint: allow(R1.index, "work holds indexes into per_shard by construction")
-                let answers = self.eval_on_shard(i, &per_shard[i]);
+                let (answers, steps) = self.eval_on_shard(i, &per_shard[i]);
                 // lint: allow(R1.index, "work holds indexes into per_shard by construction")
                 timings.push((i, per_shard[i].len(), start_us, elapsed_us(t)));
                 merged.extend(answers);
+                join_steps += steps;
             }
         } else {
             let mut groups: Vec<Vec<usize>> = vec![Vec::new(); par];
@@ -510,7 +513,7 @@ impl ShardedAboxSystem {
                 // lint: allow(R1.index, "k % par < par == groups.len() by the vec! above")
                 groups[k % par].push(i);
             }
-            let mut results: Vec<(usize, usize, u64, u64, Answers)> = std::thread::scope(|scope| {
+            let mut results: Vec<(ShardTiming, (Answers, u64))> = std::thread::scope(|scope| {
                 let handles: Vec<_> = groups
                     .iter()
                     .map(|group| {
@@ -522,11 +525,8 @@ impl ShardedAboxSystem {
                                 // lint: allow(R1.index, "work holds indexes into per_shard by construction")
                                 let answers = self.eval_on_shard(i, &per_shard[i]);
                                 local.push((
-                                    i,
                                     // lint: allow(R1.index, "work holds indexes into per_shard by construction")
-                                    per_shard[i].len(),
-                                    start_us,
-                                    elapsed_us(t),
+                                    (i, per_shard[i].len(), start_us, elapsed_us(t)),
                                     answers,
                                 ));
                             }
@@ -542,10 +542,11 @@ impl ShardedAboxSystem {
                     })
                     .collect()
             });
-            results.sort_unstable_by_key(|r| r.0);
-            for (i, d, start_us, dur_us, answers) in results {
-                timings.push((i, d, start_us, dur_us));
+            results.sort_unstable_by_key(|r| r.0 .0);
+            for (timing, (answers, steps)) in results {
+                timings.push(timing);
                 merged.extend(answers);
+                join_steps += steps;
             }
         }
         for (i, disjuncts, start_us, dur_us) in timings {
@@ -556,7 +557,7 @@ impl ShardedAboxSystem {
                 vec![("shard", i as u64), ("disjuncts", disjuncts as u64)],
             );
         }
-        (merged, par)
+        (merged, par, join_steps)
     }
 
     /// Builds one view's partial extent on every shard (each memoized
@@ -624,7 +625,9 @@ impl ShardedAboxSystem {
             );
             extents.insert(def.pred(), ext);
         }
-        eval_skeletons(&prog.queries, &extents)
+        let (answers, join_steps) = join_skeletons(&prog.queries, &extents);
+        guard.count("join_steps", join_steps);
+        answers
     }
 
     /// The traced answering core: rewrite once, route, scatter, gather.
@@ -685,14 +688,17 @@ impl ShardedAboxSystem {
         guard.count("shards", n as u64);
         guard.count("local_disjuncts", local as u64);
         guard.count("cross_shard_disjuncts", cross.len() as u64);
-        let (mut answers, par) = self.scatter_eval(&per_shard, ctx);
+        let (mut answers, par, mut join_steps) = self.scatter_eval(&per_shard, ctx);
         guard.count("threads", par as u64);
         if !cross.is_empty() {
             let fb = self.ensure_fallback();
             let g = span!(ctx, "gather_join");
             g.count("disjuncts", cross.len() as u64);
-            answers.extend(evaluate_disjuncts_indexed(&cross, &fb.abox, &fb.index));
+            let (gathered, steps) = eval_disjuncts(cross.iter().copied(), &fb.abox, &fb.index);
+            answers.extend(gathered);
+            join_steps += steps;
         }
+        guard.count("join_steps", join_steps);
         drop(guard);
         let m = shard_metrics();
         m.queries.add(1);
@@ -725,6 +731,9 @@ impl ShardedAboxSystem {
         .unwrap_or_default()
     }
 }
+
+/// (shard, disjuncts, start_us, dur_us) of one shard's evaluation.
+type ShardTiming = (usize, usize, u64, u64);
 
 fn elapsed_us(t: Instant) -> u64 {
     t.elapsed().as_micros().min(u128::from(u64::MAX)) as u64

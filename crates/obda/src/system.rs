@@ -814,14 +814,19 @@ impl ObdaSystem {
                 guard.count("threads", 1);
                 guard.count("disjuncts", rw.len() as u64);
                 let mut answers = Answers::new();
+                let mut join_steps = 0;
                 for vq in &rw.queries {
-                    answers.extend(evaluate_view_query_ebox(
+                    let (found, steps) = evaluate_view_query_ebox(
                         vq,
                         &self.classification,
                         &mat.abox,
+                        &mat.index,
                         ebox.as_deref(),
-                    ));
+                    );
+                    answers.extend(found);
+                    join_steps += steps;
                 }
+                guard.count("join_steps", join_steps);
                 answers
             }
             (CachedRewriting::Ndl(prog), DataMode::Virtual) => answer_ndl_virtual_traced(

@@ -6,14 +6,15 @@
 //!   UCQs agree with each other and with the certain answers computed
 //!   independently by the bounded chase;
 //! * the sharded parallel UCQ evaluator must return byte-identical
-//!   answer sets at 1/2/4/8 threads;
+//!   answer sets at 1/2/4/8 threads, and every ordering of a query's
+//!   body answers alike;
 //! * the rewrite caches answer warm queries identically to cold ones.
 
 use std::collections::BTreeSet;
 
 use mastro::{
-    evaluate_ucq_indexed, evaluate_ucq_parallel, perfect_ref, perfect_ref_scan, prune_ucq,
-    AboxIndex, AnswerTerm, Answers, ConjunctiveQuery, Ucq, ValueTerm,
+    evaluate_cq_indexed, evaluate_ucq_indexed, evaluate_ucq_parallel, perfect_ref,
+    perfect_ref_scan, prune_ucq, AboxIndex, AnswerTerm, Answers, ConjunctiveQuery, Ucq, ValueTerm,
 };
 use obda_dllite::{Abox, AttributeId, ConceptId, RoleId, Tbox, Value};
 use obda_genont::{random_abox, random_tbox, university_scenario};
@@ -90,6 +91,23 @@ fn random_positive_tbox(
 
 fn canonical_set(u: &Ucq) -> BTreeSet<ConjunctiveQuery> {
     u.disjuncts.iter().map(|q| q.canonical()).collect()
+}
+
+/// Every ordering of a query body (bodies here have at most four atoms).
+fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
+    if items.len() <= 1 {
+        return vec![items.to_vec()];
+    }
+    let mut out = Vec::new();
+    for (i, first) in items.iter().enumerate() {
+        let mut rest = items.to_vec();
+        rest.remove(i);
+        for mut tail in permutations(&rest) {
+            tail.insert(0, first.clone());
+            out.push(tail);
+        }
+    }
+    out
 }
 
 /// Certain answers through the bounded chase (null-filtered). Besides
@@ -201,6 +219,22 @@ fn parallel_evaluation_is_identical_across_thread_counts() {
         let ucq = perfect_ref(&q, &t);
         let index = AboxIndex::build(&ab);
         let sequential = evaluate_ucq_indexed(&ucq, &ab, &index);
+        // The join kernel plans its own order, so every ordering of a
+        // body answers alike: the query's and each disjunct's.
+        for body in std::iter::once(&q).chain(&ucq.disjuncts) {
+            let answers = evaluate_cq_indexed(body, &ab, &index);
+            for atoms in permutations(&body.atoms) {
+                let reordered = ConjunctiveQuery {
+                    head: body.head.clone(),
+                    atoms,
+                };
+                assert_eq!(
+                    evaluate_cq_indexed(&reordered, &ab, &index),
+                    answers,
+                    "seed {seed}: atom order changed the answers of {reordered:?}"
+                );
+            }
+        }
         for threads in [1, 2, 4, 8] {
             let parallel = evaluate_ucq_parallel(&ucq, &ab, &index, threads);
             assert_eq!(

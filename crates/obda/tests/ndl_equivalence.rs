@@ -4,11 +4,17 @@
 //!   where the raw UCQ rewriting blows past the prune cap;
 //! * NDL answers are byte-identical to the unpruned UCQ's answers, to
 //!   the bounded chase, and across the virtual and materialized paths;
+//! * every ordering of a skeleton's body answers alike;
 //! * the sharded NDL evaluator agrees with the unsharded one at
 //!   1/2/4/8 shards;
 //! * memoized view extents are invalidated by ABox refresh and by a
 //!   TBox-epoch bump — never served stale.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use mastro::rewrite::ndl::{build_extent, eval_skeletons};
+use mastro::rewrite::presto::ViewQuery;
 use mastro::{
     evaluate_ucq_indexed, ndl_compile, perfect_ref, AboxIndex, AnswerTerm, Answers,
     ConjunctiveQuery, RewritingMode, ValueTerm,
@@ -80,6 +86,23 @@ fn random_positive_tbox(
         pos.add(*ax);
     }
     pos
+}
+
+/// Every ordering of a query body (bodies here have at most four atoms).
+fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
+    if items.len() <= 1 {
+        return vec![items.to_vec()];
+    }
+    let mut out = Vec::new();
+    for (i, first) in items.iter().enumerate() {
+        let mut rest = items.to_vec();
+        rest.remove(i);
+        for mut tail in permutations(&rest) {
+            tail.insert(0, first.clone());
+            out.push(tail);
+        }
+    }
+    out
 }
 
 /// Certain answers through the bounded chase (null-filtered).
@@ -195,6 +218,48 @@ fn ndl_matches_perfectref_and_chase_on_random_ontologies() {
     assert!(
         non_empty >= 15,
         "only {non_empty} runs answered anything; generators drifted"
+    );
+}
+
+#[test]
+fn skeleton_atom_order_never_changes_ndl_answers() {
+    let mut reordered_some = 0;
+    for seed in 0u64..80 {
+        let t = random_positive_tbox(seed.wrapping_add(50_000), 4, 2, 2, 10);
+        let ab = random_abox(seed ^ 0xBEEF, &t, 5, 12);
+        let Some(q) = random_query(seed ^ 0xA11, &t) else {
+            continue;
+        };
+        let prog = ndl_compile(&q, &Classification::classify(&t));
+        let index = AboxIndex::build(&ab);
+        let extents: HashMap<_, _> = prog
+            .views
+            .iter()
+            .map(|def| (def.pred(), Arc::new(build_extent(def, &ab, &index))))
+            .collect();
+        // The NDL kernel plans its own join order, so every ordering of
+        // a skeleton's body must answer alike.
+        for vq in &prog.queries {
+            let expected = eval_skeletons(std::slice::from_ref(vq), &extents);
+            for atoms in permutations(&vq.atoms) {
+                let reordered = ViewQuery {
+                    head: vq.head.clone(),
+                    atoms,
+                };
+                assert_eq!(
+                    eval_skeletons(std::slice::from_ref(&reordered), &extents),
+                    expected,
+                    "seed {seed}: atom order changed the answers of {reordered:?}"
+                );
+            }
+            if vq.atoms.len() > 1 {
+                reordered_some += 1;
+            }
+        }
+    }
+    assert!(
+        reordered_some >= 20,
+        "only {reordered_some} skeletons had more than one atom; generators drifted"
     );
 }
 
