@@ -9,7 +9,7 @@
 //! template matching during unfolding sound).
 
 use obda_dllite::{AttributeId, ConceptId, RoleId, Signature};
-use obda_sqlstore::{Database, SqlError};
+use obda_sqlstore::{Database, SelectQuery, SqlError};
 
 /// IRI template `prefix{column}`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,10 +83,16 @@ pub struct MappingAssertion {
     pub heads: Vec<MappingHead>,
 }
 
+/// A mapping body parsed once, when its assertion is added: the query,
+/// or the parse error [`MappingSet::validate`] reports.
+pub type ParsedBody = Result<SelectQuery, SqlError>;
+
 /// A validated collection of mapping assertions.
 #[derive(Debug, Clone, Default)]
 pub struct MappingSet {
     assertions: Vec<MappingAssertion>,
+    /// `bodies[i]` is `assertions[i].sql` parsed.
+    bodies: Vec<ParsedBody>,
 }
 
 impl MappingSet {
@@ -95,8 +101,10 @@ impl MappingSet {
         Self::default()
     }
 
-    /// Adds an assertion (unvalidated; call [`MappingSet::validate`]).
+    /// Adds an assertion and parses its body (unvalidated; call
+    /// [`MappingSet::validate`]).
     pub fn add(&mut self, m: MappingAssertion) {
+        self.bodies.push(obda_sqlstore::parse_query(&m.sql));
         self.assertions.push(m);
     }
 
@@ -118,10 +126,11 @@ impl MappingSet {
     /// Validates every assertion against the source database: the SQL must
     /// plan, and every referenced answer column must exist in its output.
     pub fn validate(&self, db: &Database) -> Result<(), SqlError> {
-        for (i, m) in self.assertions.iter().enumerate() {
-            let q = obda_sqlstore::parse_query(&m.sql)
+        for (i, (m, body)) in self.assertions.iter().zip(&self.bodies).enumerate() {
+            let q = body
+                .as_ref()
                 .map_err(|e| SqlError::new(format!("mapping {i}: {e}")))?;
-            let planned = obda_sqlstore::plan_query(db, &q)
+            let planned = obda_sqlstore::plan_query(db, q)
                 .map_err(|e| SqlError::new(format!("mapping {i}: {e}")))?;
             for h in &m.heads {
                 for col in h.referenced_columns() {
@@ -140,50 +149,53 @@ impl MappingSet {
         Ok(())
     }
 
-    /// Sources populating a concept: `(assertion, subject template)`.
+    /// Every head atom with its assertion's parsed body.
+    fn heads(&self) -> impl Iterator<Item = (&ParsedBody, &MappingHead)> {
+        self.assertions
+            .iter()
+            .zip(&self.bodies)
+            .flat_map(|(m, body)| m.heads.iter().map(move |h| (body, h)))
+    }
+
+    /// Sources populating a concept: `(parsed body, subject template)`.
     pub fn concept_sources(
         &self,
         a: ConceptId,
-    ) -> impl Iterator<Item = (&MappingAssertion, &IriTemplate)> {
-        self.assertions.iter().flat_map(move |m| {
-            m.heads.iter().filter_map(move |h| match h {
-                MappingHead::Concept { concept, subject } if *concept == a => Some((m, subject)),
-                _ => None,
-            })
+    ) -> impl Iterator<Item = (&ParsedBody, &IriTemplate)> {
+        self.heads().filter_map(move |(body, h)| match h {
+            MappingHead::Concept { concept, subject } if *concept == a => Some((body, subject)),
+            _ => None,
         })
     }
 
-    /// Sources populating a role: `(assertion, subject, object)`.
+    /// Sources populating a role: `(parsed body, subject, object)`.
     pub fn role_sources(
         &self,
         p: RoleId,
-    ) -> impl Iterator<Item = (&MappingAssertion, &IriTemplate, &IriTemplate)> {
-        self.assertions.iter().flat_map(move |m| {
-            m.heads.iter().filter_map(move |h| match h {
-                MappingHead::Role {
-                    role,
-                    subject,
-                    object,
-                } if *role == p => Some((m, subject, object)),
-                _ => None,
-            })
+    ) -> impl Iterator<Item = (&ParsedBody, &IriTemplate, &IriTemplate)> {
+        self.heads().filter_map(move |(body, h)| match h {
+            MappingHead::Role {
+                role,
+                subject,
+                object,
+            } if *role == p => Some((body, subject, object)),
+            _ => None,
         })
     }
 
-    /// Sources populating an attribute: `(assertion, subject, value col)`.
+    /// Sources populating an attribute: `(parsed body, subject, value
+    /// col)`.
     pub fn attribute_sources(
         &self,
         u: AttributeId,
-    ) -> impl Iterator<Item = (&MappingAssertion, &IriTemplate, &str)> {
-        self.assertions.iter().flat_map(move |m| {
-            m.heads.iter().filter_map(move |h| match h {
-                MappingHead::Attribute {
-                    attribute,
-                    subject,
-                    value_column,
-                } if *attribute == u => Some((m, subject, value_column.as_str())),
-                _ => None,
-            })
+    ) -> impl Iterator<Item = (&ParsedBody, &IriTemplate, &str)> {
+        self.heads().filter_map(move |(body, h)| match h {
+            MappingHead::Attribute {
+                attribute,
+                subject,
+                value_column,
+            } if *attribute == u => Some((body, subject, value_column.as_str())),
+            _ => None,
         })
     }
 
@@ -272,6 +284,29 @@ mod tests {
             }],
         });
         assert!(ms.validate(&db).is_err());
+    }
+
+    #[test]
+    fn validate_reports_a_body_that_does_not_parse() {
+        let (db, sig, mut ms) = setup();
+        ms.add(MappingAssertion {
+            sql: "SELECT id FROM".into(),
+            heads: vec![MappingHead::Concept {
+                concept: sig.find_concept("Student").unwrap(),
+                subject: IriTemplate {
+                    prefix: "x/".into(),
+                    column: "id".into(),
+                },
+            }],
+        });
+        let e = ms.validate(&db).unwrap_err();
+        assert!(e.message().starts_with("mapping 1: "), "{e}");
+        let student = sig.find_concept("Student").unwrap();
+        let bodies: Vec<bool> = ms
+            .concept_sources(student)
+            .map(|(b, _)| b.is_ok())
+            .collect();
+        assert_eq!(bodies, vec![true, false]);
     }
 
     #[test]

@@ -20,6 +20,6 @@ pub mod assertion;
 pub mod ebox;
 pub mod materialize;
 
-pub use assertion::{IriTemplate, MappingAssertion, MappingHead, MappingSet};
+pub use assertion::{IriTemplate, MappingAssertion, MappingHead, MappingSet, ParsedBody};
 pub use ebox::{Ebox, EboxInclusion, EboxPredicate};
 pub use materialize::{materialize, materialize_with_stats, MaterializeStats};

@@ -66,11 +66,11 @@ pub fn perfect_ref(q: &ConjunctiveQuery, tbox: &Tbox) -> Ucq {
     perfect_ref_with_index(q, &ix)
 }
 
-/// [`perfect_ref`] under a `perfectref` trace span recording the raw
-/// disjunct count.
-pub fn perfect_ref_traced(q: &ConjunctiveQuery, tbox: &Tbox, ctx: &obda_obs::TraceCtx) -> Ucq {
+/// [`perfect_ref_with_index`] under a `perfectref` trace span recording
+/// the raw disjunct count.
+pub fn perfect_ref_traced(q: &ConjunctiveQuery, ix: &PiIndex, ctx: &obda_obs::TraceCtx) -> Ucq {
     let guard = obda_obs::span!(ctx, "perfectref");
-    let u = perfect_ref(q, tbox);
+    let u = perfect_ref_with_index(q, ix);
     guard.count("disjuncts", u.len() as u64);
     u
 }

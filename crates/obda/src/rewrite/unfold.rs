@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use obda_dllite::{AttributeId, ConceptId, RoleId, Value};
-use obda_mapping::{Ebox, IriTemplate, MappingSet};
+use obda_mapping::{Ebox, IriTemplate, MappingSet, ParsedBody};
 use obda_sqlstore::sql::ast::{
     CmpOp, ColRef, Comparison, Join, Operand, SelectCore, SelectItem, TableRef,
 };
@@ -204,41 +204,28 @@ fn atom_sources(
     counter: &mut usize,
 ) -> Result<Vec<FlatSource>, SqlError> {
     let mut out = Vec::new();
-    let mut add =
-        |sql: &str, wants: Vec<ColumnWant>, counter: &mut usize| -> Result<(), SqlError> {
-            let q = obda_sqlstore::parse_query(sql)?;
-            let mut cores = vec![&q.first];
-            cores.extend(q.rest.iter().map(|(_, c)| c));
-            if q.limit.is_some() || !q.order_by.is_empty() {
-                return Err(SqlError::new(
-                    "mapping bodies must not use ORDER BY / LIMIT",
-                ));
-            }
-            for core in cores {
-                *counter += 1;
-                out.push(flatten_core(db, core, &format!("m{counter}_"), &wants)?);
-            }
-            Ok(())
-        };
     match atom {
         Atom::Concept(c, _) => {
-            for (m, subject) in mappings.concept_sources(*c) {
-                add(&m.sql, vec![template_want(subject)], counter)?;
+            for (body, subject) in mappings.concept_sources(*c) {
+                add_body(db, body, vec![template_want(subject)], counter, &mut out)?;
             }
         }
         Atom::Role(p, _, _) => {
-            for (m, subject, object) in mappings.role_sources(*p) {
-                add(
-                    &m.sql,
+            for (body, subject, object) in mappings.role_sources(*p) {
+                add_body(
+                    db,
+                    body,
                     vec![template_want(subject), template_want(object)],
                     counter,
+                    &mut out,
                 )?;
             }
         }
         Atom::Attribute(u, _, _) => {
-            for (m, subject, value_col) in mappings.attribute_sources(*u) {
-                add(
-                    &m.sql,
+            for (body, subject, value_col) in mappings.attribute_sources(*u) {
+                add_body(
+                    db,
+                    body,
                     vec![
                         template_want(subject),
                         ColumnWant::Val {
@@ -246,11 +233,34 @@ fn atom_sources(
                         },
                     ],
                     counter,
+                    &mut out,
                 )?;
             }
         }
     }
     Ok(out)
+}
+
+/// Flattens every core of one parsed mapping body into `out`, each under
+/// the next `m{counter}_` alias prefix.
+fn add_body(
+    db: &Database,
+    body: &ParsedBody,
+    wants: Vec<ColumnWant>,
+    counter: &mut usize,
+    out: &mut Vec<FlatSource>,
+) -> Result<(), SqlError> {
+    let q = body.as_ref().map_err(Clone::clone)?;
+    if q.limit.is_some() || !q.order_by.is_empty() {
+        return Err(SqlError::new(
+            "mapping bodies must not use ORDER BY / LIMIT",
+        ));
+    }
+    for core in std::iter::once(&q.first).chain(q.rest.iter().map(|(_, c)| c)) {
+        *counter += 1;
+        out.push(flatten_core(db, core, &format!("m{counter}_"), &wants)?);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -479,25 +489,6 @@ pub(crate) fn view_atom_sources(
 ) -> Result<Vec<FlatSource>, SqlError> {
     use obda_dllite::{BasicConcept, BasicRole};
     let mut out = Vec::new();
-    let add = |sql: &str,
-               wants: Vec<ColumnWant>,
-               counter: &mut usize,
-               out: &mut Vec<FlatSource>|
-     -> Result<(), SqlError> {
-        let q = obda_sqlstore::parse_query(sql)?;
-        if q.limit.is_some() || !q.order_by.is_empty() {
-            return Err(SqlError::new(
-                "mapping bodies must not use ORDER BY / LIMIT",
-            ));
-        }
-        let mut cores = vec![&q.first];
-        cores.extend(q.rest.iter().map(|(_, c)| c));
-        for core in cores {
-            *counter += 1;
-            out.push(flatten_core(db, core, &format!("m{counter}_"), &wants)?);
-        }
-        Ok(())
-    };
     use crate::rewrite::eboxprune::{
         prune_attr_members, prune_concept_members, prune_role_members,
     };
@@ -510,23 +501,23 @@ pub(crate) fn view_atom_sources(
             for member in members {
                 match member {
                     BasicConcept::Atomic(a) => {
-                        for (m, subject) in mappings.concept_sources(a) {
-                            add(&m.sql, vec![template_want(subject)], counter, &mut out)?;
+                        for (body, subject) in mappings.concept_sources(a) {
+                            add_body(db, body, vec![template_want(subject)], counter, &mut out)?;
                         }
                     }
                     BasicConcept::Exists(BasicRole::Direct(p)) => {
-                        for (m, subject, _) in mappings.role_sources(p) {
-                            add(&m.sql, vec![template_want(subject)], counter, &mut out)?;
+                        for (body, subject, _) in mappings.role_sources(p) {
+                            add_body(db, body, vec![template_want(subject)], counter, &mut out)?;
                         }
                     }
                     BasicConcept::Exists(BasicRole::Inverse(p)) => {
-                        for (m, _, object) in mappings.role_sources(p) {
-                            add(&m.sql, vec![template_want(object)], counter, &mut out)?;
+                        for (body, _, object) in mappings.role_sources(p) {
+                            add_body(db, body, vec![template_want(object)], counter, &mut out)?;
                         }
                     }
                     BasicConcept::AttrDomain(u) => {
-                        for (m, subject, _) in mappings.attribute_sources(u) {
-                            add(&m.sql, vec![template_want(subject)], counter, &mut out)?;
+                        for (body, subject, _) in mappings.attribute_sources(u) {
+                            add_body(db, body, vec![template_want(subject)], counter, &mut out)?;
                         }
                     }
                 }
@@ -539,13 +530,13 @@ pub(crate) fn view_atom_sources(
             };
             for member in members {
                 let p = member.role();
-                for (m, subject, object) in mappings.role_sources(p) {
+                for (body, subject, object) in mappings.role_sources(p) {
                     let wants = if member.is_inverse() {
                         vec![template_want(object), template_want(subject)]
                     } else {
                         vec![template_want(subject), template_want(object)]
                     };
-                    add(&m.sql, wants, counter, &mut out)?;
+                    add_body(db, body, wants, counter, &mut out)?;
                 }
             }
         }
@@ -555,9 +546,10 @@ pub(crate) fn view_atom_sources(
                 None => attr_view_members(cls, *u),
             };
             for member in members {
-                for (m, subject, value_col) in mappings.attribute_sources(member) {
-                    add(
-                        &m.sql,
+                for (body, subject, value_col) in mappings.attribute_sources(member) {
+                    add_body(
+                        db,
+                        body,
                         vec![
                             template_want(subject),
                             ColumnWant::Val {

@@ -62,7 +62,7 @@ use std::time::Instant;
 
 use quonto::sync::{lock_or_recover, read_or_recover, write_or_recover};
 
-use obda_dllite::{Abox, Tbox};
+use obda_dllite::{Abox, PiIndex, Tbox};
 use obda_mapping::{materialize, Ebox, MappingSet};
 use obda_obs::{registry, span, Counter, Histogram, TraceCtx, TraceSink};
 use obda_sqlstore::Database;
@@ -219,6 +219,10 @@ impl RewriteCacheStats {
 pub(crate) struct RewriteCache {
     pub(crate) epoch: u64,
     entries: HashMap<(RewritingMode, ConjunctiveQuery), Arc<CachedRewriting>>,
+    /// The TBox's PI index, built by the epoch's first PerfectRef miss
+    /// and shared by every later one (whether or not entries are
+    /// cached: it depends on the TBox alone).
+    pi_index: Option<Arc<PiIndex>>,
     pub(crate) stats: RewriteCacheStats,
     /// EBox generation the cached entries were rewritten under. Pruned
     /// rewritings are only sound for the constraints they were pruned
@@ -263,9 +267,18 @@ impl RewriteCache {
         self.entries.insert(key, value);
     }
 
+    /// The current epoch's PI index of `tbox`, built on first use.
+    pub(crate) fn pi_index(&mut self, tbox: &Tbox) -> Arc<PiIndex> {
+        Arc::clone(
+            self.pi_index
+                .get_or_insert_with(|| Arc::new(tbox.pi_index())),
+        )
+    }
+
     pub(crate) fn invalidate(&mut self) {
         self.epoch += 1;
         self.entries.clear();
+        self.pi_index = None;
     }
 }
 
@@ -303,10 +316,10 @@ pub(crate) fn query_metrics() -> &'static (Arc<Counter>, Arc<Histogram>) {
 /// Records `perfectref` / `prune` child spans when `ctx` is enabled.
 fn rewrite_perfectref_pruned_traced(
     q: &ConjunctiveQuery,
-    tbox: &Tbox,
+    ix: &PiIndex,
     ctx: &TraceCtx,
 ) -> (Ucq, usize) {
-    let raw = perfect_ref_traced(q, tbox, ctx);
+    let raw = perfect_ref_traced(q, ix, ctx);
     let raw_len = raw.len();
     let ucq = if pruning_disabled() {
         raw
@@ -327,9 +340,10 @@ fn rewrite_perfectref_pruned_traced(
 // Registry handle for the capped-prune counter, resolved once.
 obda_obs::counter_handle!(fn prune_capped_total, "rewrite_prune_capped");
 
-/// Untraced variant, kept for `explain` and external callers.
+/// Untraced variant over a freshly built PI index, kept for `explain`
+/// and external callers.
 pub(crate) fn rewrite_perfectref_pruned(q: &ConjunctiveQuery, tbox: &Tbox) -> (Ucq, usize) {
-    rewrite_perfectref_pruned_traced(q, tbox, &TraceCtx::disabled())
+    rewrite_perfectref_pruned_traced(q, &tbox.pi_index(), &TraceCtx::disabled())
 }
 
 /// Cache lookup with the compute running *outside* the lock — the
@@ -411,7 +425,8 @@ pub(crate) fn rewrite_with_cache_traced(
         (mode, q.canonical()),
         || match mode {
             RewritingMode::PerfectRef => {
-                let (ucq, raw_len) = rewrite_perfectref_pruned_traced(q, tbox, ctx);
+                let ix = lock_or_recover(cache).pi_index(tbox);
+                let (ucq, raw_len) = rewrite_perfectref_pruned_traced(q, &ix, ctx);
                 let ucq = match ebox {
                     Some(e) => ebox_prune_perfectref(q, ucq, e, ctx),
                     None => ucq,
@@ -1562,6 +1577,37 @@ impl QueryEngine for AboxSystem {
 
     fn reset_stats(&self) {
         self.reset_rewrite_cache_stats();
+    }
+}
+
+#[cfg(test)]
+mod pi_index_cache {
+    use super::*;
+    use obda_dllite::{parse_abox, parse_tbox, Axiom};
+
+    fn cached(sys: &AboxSystem) -> Option<Arc<PiIndex>> {
+        lock_or_recover(&sys.rewrite_cache).pi_index.clone()
+    }
+
+    #[test]
+    fn one_pi_index_per_tbox_epoch() {
+        let tbox = parse_tbox("concept A B").unwrap();
+        let abox = parse_abox("B(b1)", &tbox.sig).unwrap();
+        let mut sys = AboxSystem::new(tbox, abox);
+        assert!(sys.answer("q(x) :- A(x)").unwrap().is_empty());
+        let first = cached(&sys).expect("a PerfectRef miss builds the index");
+        assert_eq!(sys.answer("q(x) :- B(x)").unwrap().len(), 1);
+        let second = cached(&sys).expect("still cached");
+        assert!(Arc::ptr_eq(&first, &second), "the second miss rebuilt it");
+        // B ⊑ A reaches the rewriter only through a fresh index.
+        let (a, b) = (
+            sys.tbox.sig.find_concept("A").unwrap(),
+            sys.tbox.sig.find_concept("B").unwrap(),
+        );
+        sys.tbox.add(Axiom::concept(b, a));
+        sys.invalidate_rewrites();
+        assert!(cached(&sys).is_none());
+        assert_eq!(sys.answer("q(x) :- A(x)").unwrap().len(), 1);
     }
 }
 

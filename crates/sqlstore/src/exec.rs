@@ -56,8 +56,8 @@ impl ResultSet {
 /// Execution counters, filled in by [`execute_counted`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Base-table rows the scans considered (post index lookup, before
-    /// pushed filters) — the "work done" metric the trace reports.
+    /// Table rows fetched by a scan or an index probe, before pushed
+    /// filters — the "work done" metric the trace reports.
     pub rows_scanned: u64,
     /// `SharedScan` reuses: evaluations served from the statement-scoped
     /// intermediate cache instead of re-running the subplan.
@@ -104,6 +104,14 @@ pub fn execute_traced(
     res
 }
 
+/// The joined row `left ++ right`.
+fn concat(left: &[SqlValue], right: &[SqlValue]) -> Row {
+    let mut row = Vec::with_capacity(left.len() + right.len());
+    row.extend_from_slice(left);
+    row.extend_from_slice(right);
+    row
+}
+
 fn run(
     db: &Database,
     plan: &Plan,
@@ -118,18 +126,82 @@ fn run(
             arity: _,
         } => {
             let t = db.table(table)?;
-            let rows: Box<dyn Iterator<Item = &Row>> = match index_eq {
+            let keep = |r: &Row| pushed.iter().all(|p| p.eval(r));
+            let out: Vec<Row> = match index_eq {
                 Some((col, value)) => match t.index_lookup(*col, value) {
-                    Some(ids) => Box::new(ids.iter().map(move |&id| t.row(id))),
-                    None => Box::new(t.rows().iter()),
+                    Some(ids) => {
+                        stats.rows_scanned += ids.len() as u64;
+                        ids.iter()
+                            .map(|&id| t.row(id))
+                            .filter(|r| keep(r))
+                            .cloned()
+                            .collect()
+                    }
+                    // Planned against a catalog that had the index: the
+                    // equality still filters.
+                    None => {
+                        stats.rows_scanned += t.len() as u64;
+                        t.rows()
+                            .iter()
+                            .filter(|r| {
+                                r[*col].sql_cmp(value).is_some_and(|o| o.is_eq()) && keep(r)
+                            })
+                            .cloned()
+                            .collect()
+                    }
                 },
-                None => Box::new(t.rows().iter()),
+                None => {
+                    stats.rows_scanned += t.len() as u64;
+                    t.rows().iter().filter(|r| keep(r)).cloned().collect()
+                }
             };
-            let out: Vec<Row> = rows
-                .inspect(|_| stats.rows_scanned += 1)
-                .filter(|r| pushed.iter().all(|p| p.eval(r)))
-                .cloned()
-                .collect();
+            Ok(out)
+        }
+        Plan::IndexJoin {
+            left,
+            table,
+            left_key,
+            right_col,
+            pushed,
+            residual,
+            arity: _,
+        } => {
+            let left_rows = run(db, left, stats, shared)?;
+            let t = db.table(table)?;
+            // Planned against a catalog that had the index: hash the
+            // column once instead.
+            let adhoc: Option<HashMap<&SqlValue, Vec<u32>>> =
+                (!t.has_index(*right_col)).then(|| {
+                    stats.rows_scanned += t.len() as u64;
+                    let mut m: HashMap<&SqlValue, Vec<u32>> = HashMap::new();
+                    for (id, r) in t.rows().iter().enumerate() {
+                        m.entry(&r[*right_col]).or_default().push(id as u32);
+                    }
+                    m
+                });
+            let mut out = Vec::new();
+            for l in &left_rows {
+                let key = &l[*left_key];
+                if key.is_null() {
+                    continue; // NULL never joins
+                }
+                let ids = match &adhoc {
+                    Some(m) => m.get(key).map_or(&[][..], Vec::as_slice),
+                    None => {
+                        let ids = t.index_lookup(*right_col, key).unwrap_or(&[]);
+                        stats.rows_scanned += ids.len() as u64;
+                        ids
+                    }
+                };
+                for &id in ids {
+                    let r = t.row(id);
+                    if pushed.iter().all(|p| p.eval(r))
+                        && residual.iter().all(|p| p.eval_split(l, r))
+                    {
+                        out.push(concat(l, r));
+                    }
+                }
+            }
             Ok(out)
         }
         Plan::HashJoin {
@@ -146,17 +218,15 @@ fn run(
                 // Cross join (rare; only from joins without equi-keys).
                 for l in &left_rows {
                     for r in &right_rows {
-                        let mut row = l.clone();
-                        row.extend(r.iter().cloned());
-                        if residual.iter().all(|p| p.eval(&row)) {
-                            out.push(row);
+                        if residual.iter().all(|p| p.eval_split(l, r)) {
+                            out.push(concat(l, r));
                         }
                     }
                 }
                 return Ok(out);
             }
             // Build on the right side.
-            let mut table: HashMap<Vec<SqlValue>, Vec<&Row>> =
+            let mut table: HashMap<Vec<&SqlValue>, Vec<&Row>> =
                 HashMap::with_capacity(right_rows.len());
             'build: for r in &right_rows {
                 let mut key = Vec::with_capacity(right_keys.len());
@@ -164,24 +234,23 @@ fn run(
                     if r[k].is_null() {
                         continue 'build; // NULL never joins
                     }
-                    key.push(r[k].clone());
+                    key.push(&r[k]);
                 }
                 table.entry(key).or_default().push(r);
             }
+            let mut key = Vec::with_capacity(left_keys.len());
             'probe: for l in &left_rows {
-                let mut key = Vec::with_capacity(left_keys.len());
+                key.clear();
                 for &k in left_keys {
                     if l[k].is_null() {
                         continue 'probe;
                     }
-                    key.push(l[k].clone());
+                    key.push(&l[k]);
                 }
                 if let Some(matches) = table.get(&key) {
                     for r in matches {
-                        let mut row = l.clone();
-                        row.extend(r.iter().cloned());
-                        if residual.iter().all(|p| p.eval(&row)) {
-                            out.push(row);
+                        if residual.iter().all(|p| p.eval_split(l, r)) {
+                            out.push(concat(l, r));
                         }
                     }
                 }

@@ -6,9 +6,12 @@
 //! is the engine those translations run on.
 //!
 //! Features: typed tables with hash indexes, a SQL subset (CREATE TABLE /
-//! INSERT / SELECT with joins, WHERE conjunctions, UNION [ALL], DISTINCT,
-//! ORDER BY, LIMIT), a planner with filter pushdown, index access paths
-//! and hash equi-joins, and a row executor.
+//! INSERT / SELECT with inner joins, WHERE conjunctions, UNION [ALL],
+//! DISTINCT, ORDER BY, LIMIT), a planner that pools WHERE and ON
+//! conditions, pushes each single-table condition into its scan and
+//! orders the joins from the most selective scan, with index lookups,
+//! index-probe joins and hash equi-joins as access paths (see [`plan`]),
+//! and a row executor.
 //!
 //! ```
 //! use obda_sqlstore::Database;

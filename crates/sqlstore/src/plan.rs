@@ -1,20 +1,33 @@
 //! Logical planning: name resolution, predicate compilation, filter
-//! pushdown and join-key extraction.
+//! pushdown and index-aware join ordering.
 //!
 //! The planner turns a parsed [`SelectQuery`] into a [`Plan`] tree of
-//! physical-ish operators:
+//! physical-ish operators. Every join in the SQL subset is an inner
+//! join, so the WHERE conjuncts and all ON conditions form one pool.
+//! Each ON condition is first resolved in its written scope (the tables
+//! up to its own JOIN), so malformed SQL fails as written. Then:
 //!
-//! * single-table WHERE conjuncts are pushed into the [`Plan::Scan`] that
-//!   owns them; an equality against a literal on an indexed column is
-//!   marked for index lookup;
-//! * join conditions are split into equi-join key pairs (driving the hash
-//!   join) and residual predicates;
+//! * a condition on one table is pushed into that table's
+//!   [`Plan::Scan`]; an equality against a non-NULL literal on an
+//!   indexed column becomes the scan's index access path;
+//! * the join order starts from the most selective scan (an index
+//!   equality, then pushed filters, then the written order) and keeps
+//!   adding a table linked to the joined set by an equi-join, preferring
+//!   one whose join column has a hash index;
+//! * such a table is joined by probing that index once per outer row
+//!   ([`Plan::IndexJoin`]), any other by a [`Plan::HashJoin`] on its
+//!   equi-join keys (a cross product when it has none); conditions over
+//!   several tables run as residual predicates of the join that brings
+//!   in the last of them;
+//! * the projection maps written column positions onto the joined row,
+//!   so `SELECT *` keeps the written column order;
 //! * `DISTINCT`, `UNION [ALL]`, `ORDER BY` and `LIMIT` become dedicated
 //!   nodes.
 
 use crate::catalog::Database;
 use crate::error::SqlError;
 use crate::sql::ast::*;
+use crate::table::Table;
 use crate::value::SqlValue;
 
 /// A compiled operand: a column position in the operator's input row, or
@@ -38,17 +51,26 @@ pub struct CompiledCmp {
     pub rhs: Source,
 }
 
+impl Source {
+    /// The operand's value in the row `left ++ right`.
+    fn value<'a>(&'a self, left: &'a [SqlValue], right: &'a [SqlValue]) -> &'a SqlValue {
+        match self {
+            Source::Col(i) => left.get(*i).unwrap_or_else(|| &right[*i - left.len()]),
+            Source::Lit(v) => v,
+        }
+    }
+}
+
 impl CompiledCmp {
     /// Evaluates against a row (NULL-involving comparisons are false).
     pub fn eval(&self, row: &[SqlValue]) -> bool {
-        let get = |s: &Source| -> SqlValue {
-            match s {
-                Source::Col(i) => row[*i].clone(),
-                Source::Lit(v) => v.clone(),
-            }
-        };
-        let (a, b) = (get(&self.lhs), get(&self.rhs));
-        match a.sql_cmp(&b) {
+        self.eval_split(row, &[])
+    }
+
+    /// Evaluates against the row `left ++ right` without building it.
+    pub(crate) fn eval_split(&self, left: &[SqlValue], right: &[SqlValue]) -> bool {
+        let (a, b) = (self.lhs.value(left, right), self.rhs.value(left, right));
+        match a.sql_cmp(b) {
             None => false,
             Some(ord) => match self.op {
                 CmpOp::Eq => ord.is_eq(),
@@ -106,6 +128,25 @@ pub enum Plan {
         pushed: Vec<CompiledCmp>,
         /// `(column position, literal)` equality served by a hash index.
         index_eq: Option<(usize, SqlValue)>,
+        /// Table arity (for schema bookkeeping).
+        arity: usize,
+    },
+    /// Index nested-loop join: for each left row, probes `table`'s hash
+    /// index on `right_col` with the left row's `left_key` value (a NULL
+    /// key never joins); output = left row ++ table row.
+    IndexJoin {
+        /// Left (outer) input.
+        left: Box<Plan>,
+        /// Probed table name.
+        table: String,
+        /// Probe key position in the left output.
+        left_key: usize,
+        /// Indexed column position in the table row.
+        right_col: usize,
+        /// Single-table predicates over the fetched table row.
+        pushed: Vec<CompiledCmp>,
+        /// Residual predicates over the concatenated row.
+        residual: Vec<CompiledCmp>,
         /// Table arity (for schema bookkeeping).
         arity: usize,
     },
@@ -191,34 +232,24 @@ pub struct PlannedQuery {
     pub columns: Vec<String>,
 }
 
-/// Schema tracker during planning: (alias, column name) per position.
-struct Scope {
-    cols: Vec<(String, String)>,
-}
-
-impl Scope {
-    fn resolve(&self, c: &ColRef) -> Result<usize, SqlError> {
-        let matches: Vec<usize> = self
-            .cols
-            .iter()
-            .enumerate()
-            .filter(|(_, (alias, name))| {
-                name == &c.column && c.qualifier.as_ref().is_none_or(|q| q == alias)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        match matches.as_slice() {
-            [i] => Ok(*i),
-            [] => Err(SqlError::new(format!("unknown column `{c}`"))),
-            _ => Err(SqlError::new(format!("ambiguous column `{c}`"))),
+/// Resolves a column reference against `(alias, column name)` slots.
+fn resolve(cols: &[(&str, &str)], c: &ColRef) -> Result<usize, SqlError> {
+    let mut found = None;
+    for (i, (alias, name)) in cols.iter().enumerate() {
+        if *name == c.column && c.qualifier.as_deref().is_none_or(|q| q == *alias) {
+            if found.is_some() {
+                return Err(SqlError::new(format!("ambiguous column `{c}`")));
+            }
+            found = Some(i);
         }
     }
+    found.ok_or_else(|| SqlError::new(format!("unknown column `{c}`")))
 }
 
-fn compile_cmp(scope: &Scope, cmp: &Comparison) -> Result<CompiledCmp, SqlError> {
+fn compile_cmp(cols: &[(&str, &str)], cmp: &Comparison) -> Result<CompiledCmp, SqlError> {
     let side = |o: &Operand| -> Result<Source, SqlError> {
         Ok(match o {
-            Operand::Col(c) => Source::Col(scope.resolve(c)?),
+            Operand::Col(c) => Source::Col(resolve(cols, c)?),
             Operand::Lit(v) => Source::Lit(v.clone()),
         })
     };
@@ -229,221 +260,268 @@ fn compile_cmp(scope: &Scope, cmp: &Comparison) -> Result<CompiledCmp, SqlError>
     })
 }
 
-/// Which single alias a comparison touches, if exactly one.
-fn single_alias(cmp: &Comparison, alias_of: impl Fn(&ColRef) -> Option<String>) -> Option<String> {
-    let mut found: Option<String> = None;
-    for op in [&cmp.lhs, &cmp.rhs] {
-        if let Operand::Col(c) = op {
-            let a = alias_of(c)?;
-            match &found {
-                None => found = Some(a),
-                Some(prev) if *prev == a => {}
-                Some(_) => return None,
-            }
-        }
+/// A comparison with positions shifted through `map`.
+fn remap(c: &CompiledCmp, map: impl Fn(usize) -> usize) -> CompiledCmp {
+    let side = |s: &Source| match s {
+        Source::Col(i) => Source::Col(map(*i)),
+        Source::Lit(v) => Source::Lit(v.clone()),
+    };
+    CompiledCmp {
+        lhs: side(&c.lhs),
+        op: c.op,
+        rhs: side(&c.rhs),
     }
-    found
 }
 
-fn plan_core(db: &Database, core: &SelectCore) -> Result<(Plan, Scope), SqlError> {
-    // Collect the table refs in join order.
-    let mut refs = vec![core.from.clone()];
-    refs.extend(core.joins.iter().map(|j| j.table.clone()));
-    // Duplicate alias check.
-    for i in 0..refs.len() {
-        for j in (i + 1)..refs.len() {
-            if refs[i].alias == refs[j].alias {
-                return Err(SqlError::new(format!(
-                    "duplicate alias `{}`",
-                    refs[i].alias
-                )));
-            }
-        }
-    }
-    // Partition WHERE conjuncts per alias for pushdown.
-    let full_scope = {
-        let mut cols = Vec::new();
-        for r in &refs {
-            let table = db.table(&r.table)?;
-            for c in table.columns() {
-                cols.push((r.alias.clone(), c.name.clone()));
-            }
-        }
-        Scope { cols }
-    };
-    let alias_of = |c: &ColRef| -> Option<String> {
-        if let Some(q) = &c.qualifier {
-            return Some(q.clone());
-        }
-        // Unqualified: find the unique owning alias.
-        let owners: Vec<&(String, String)> = full_scope
-            .cols
-            .iter()
-            .filter(|(_, name)| name == &c.column)
-            .collect();
-        match owners.as_slice() {
-            [one] => Some(one.0.clone()),
+/// A pooled condition touching two tables, positions in the written
+/// row.
+struct JoinCond {
+    cmp: CompiledCmp,
+    tables: [usize; 2],
+}
+
+impl JoinCond {
+    /// The `(own column, other table's column)` pair when this is an
+    /// equality between a column of `t` and a column of a table in
+    /// `joined`.
+    fn equi_key(&self, t: usize, joined: &[bool]) -> Option<(usize, usize)> {
+        let (Source::Col(a), CmpOp::Eq, Source::Col(b)) =
+            (&self.cmp.lhs, self.cmp.op, &self.cmp.rhs)
+        else {
+            return None;
+        };
+        match self.tables {
+            [x, y] if x == t && joined[y] => Some((*a, *b)),
+            [x, y] if y == t && joined[x] => Some((*b, *a)),
             _ => None,
         }
-    };
-    let mut pushed: std::collections::HashMap<String, Vec<Comparison>> =
-        std::collections::HashMap::new();
-    let mut residual_where: Vec<Comparison> = Vec::new();
-    for cmp in &core.filter {
-        match single_alias(cmp, alias_of) {
-            Some(alias) => pushed.entry(alias).or_default().push(cmp.clone()),
-            None => residual_where.push(cmp.clone()),
+    }
+}
+
+fn plan_core(db: &Database, core: &SelectCore) -> Result<(Plan, Vec<String>), SqlError> {
+    let refs: Vec<&TableRef> = std::iter::once(&core.from)
+        .chain(core.joins.iter().map(|j| &j.table))
+        .collect();
+    for (i, r) in refs.iter().enumerate() {
+        if refs[..i].iter().any(|p| p.alias == r.alias) {
+            return Err(SqlError::new(format!("duplicate alias `{}`", r.alias)));
         }
     }
-
-    // Build scans.
-    type ScanEntry = (String, Plan, Vec<(String, String)>);
-    let mut plans: Vec<ScanEntry> = Vec::new();
-    for r in &refs {
-        let table = db.table(&r.table)?;
-        let local_scope = Scope {
-            cols: table
-                .columns()
+    let tables = refs
+        .iter()
+        .map(|r| db.table(&r.table))
+        .collect::<Result<Vec<_>, _>>()?;
+    // The written row `FROM ++ JOIN 1 ++ JOIN 2 …`: every column's
+    // `(alias, name)`, and each table's offset in it.
+    let mut cols: Vec<(&str, &str)> = Vec::new();
+    let mut offsets = Vec::with_capacity(refs.len());
+    for (r, t) in refs.iter().zip(&tables) {
+        offsets.push(cols.len());
+        cols.extend(
+            t.columns()
                 .iter()
-                .map(|c| (r.alias.clone(), c.name.clone()))
-                .collect(),
-        };
-        let mut compiled: Vec<CompiledCmp> = Vec::new();
-        for cmp in pushed.get(&r.alias).into_iter().flatten() {
-            compiled.push(compile_cmp(&local_scope, cmp)?);
-        }
-        // Index access path: first `col = literal` on an indexed column.
-        let mut index_eq = None;
-        compiled.retain(|c| {
-            if index_eq.is_some() {
-                return true;
-            }
-            if c.op == CmpOp::Eq {
-                if let (Source::Col(i), Source::Lit(v)) | (Source::Lit(v), Source::Col(i)) =
-                    (&c.lhs, &c.rhs)
-                {
-                    if table.has_index(*i) {
-                        index_eq = Some((*i, v.clone()));
-                        return false;
-                    }
-                }
-            }
-            true
-        });
-        plans.push((
-            r.alias.clone(),
-            Plan::Scan {
-                table: r.table.clone(),
-                pushed: compiled,
-                index_eq,
-                arity: table.columns().len(),
-            },
-            local_scope.cols,
-        ));
+                .map(|c| (r.alias.as_str(), c.name.as_str())),
+        );
     }
+    let table_of = |p: usize| offsets.partition_point(|&o| o <= p) - 1;
+    let n = refs.len();
 
-    // Left-deep join tree following the written order.
-    let mut iter = plans.into_iter();
-    let (_, mut plan, mut scope_cols) = iter.next().expect("at least FROM");
-    for (join, (_, right_plan, right_cols)) in core.joins.iter().zip(iter) {
-        let left_len = scope_cols.len();
-        let mut combined = scope_cols.clone();
-        combined.extend(right_cols.clone());
-        let combined_scope = Scope { cols: combined };
-        let mut left_keys = Vec::new();
-        let mut right_keys = Vec::new();
-        let mut residual = Vec::new();
+    // Pool the conditions. Each ON clause resolves in its written scope
+    // (the tables up to its own JOIN), so naming a later table fails as
+    // written; WHERE sees every table. Positions index the written row.
+    let mut pool: Vec<CompiledCmp> = Vec::new();
+    for (k, join) in core.joins.iter().enumerate() {
+        let scope = &cols[..offsets.get(k + 2).copied().unwrap_or(cols.len())];
         for cmp in &join.on {
-            let compiled = compile_cmp(&combined_scope, cmp)?;
-            match (&compiled.lhs, compiled.op, &compiled.rhs) {
-                (Source::Col(a), CmpOp::Eq, Source::Col(b))
-                    if (*a < left_len) != (*b < left_len) =>
-                {
-                    let (l, r) = if *a < left_len { (*a, *b) } else { (*b, *a) };
-                    left_keys.push(l);
-                    right_keys.push(r - left_len);
-                }
-                _ => residual.push(compiled),
+            pool.push(compile_cmp(scope, cmp)?);
+        }
+    }
+    for cmp in &core.filter {
+        pool.push(compile_cmp(&cols, cmp)?);
+    }
+    let mut pushed: Vec<Vec<CompiledCmp>> = vec![Vec::new(); n];
+    let mut joins: Vec<JoinCond> = Vec::new();
+    let mut constant: Vec<CompiledCmp> = Vec::new();
+    for cmp in pool {
+        let touched = |s: &Source| match s {
+            Source::Col(p) => Some(table_of(*p)),
+            Source::Lit(_) => None,
+        };
+        match (touched(&cmp.lhs), touched(&cmp.rhs)) {
+            (None, None) => constant.push(cmp),
+            (Some(a), Some(b)) if a != b => joins.push(JoinCond {
+                cmp,
+                tables: [a, b],
+            }),
+            (Some(t), _) | (_, Some(t)) => {
+                let base = offsets[t];
+                pushed[t].push(remap(&cmp, |p| p - base));
             }
         }
-        plan = Plan::HashJoin {
-            left: Box::new(plan),
-            right: Box::new(right_plan),
-            left_keys,
-            right_keys,
-            residual,
-        };
-        scope_cols = {
-            let mut c = scope_cols;
-            c.extend(right_cols);
-            c
-        };
-    }
-    let scope = Scope { cols: scope_cols };
-
-    // Residual WHERE.
-    if !residual_where.is_empty() {
-        let predicates = residual_where
-            .iter()
-            .map(|c| compile_cmp(&scope, c))
-            .collect::<Result<Vec<_>, _>>()?;
-        plan = Plan::Filter {
-            input: Box::new(plan),
-            predicates,
-        };
     }
 
-    // Projection.
-    let (cols, names): (Vec<usize>, Vec<String>) = if core.items.is_empty() {
+    // Build a left-deep tree, starting from the most selective scan and
+    // then adding a table linked to the joined set by an equi-join, a
+    // probe-able one first. `joined_at[p]` is the position of written
+    // column `p` in the joined row.
+    let index_eq: Vec<Option<usize>> = (0..n)
+        .map(|t| index_eq_pos(tables[t], &pushed[t]))
+        .collect();
+    let rank: Vec<u8> = (0..n)
+        .map(|t| match (index_eq[t], pushed[t].is_empty()) {
+            (Some(_), _) => 0,
+            (None, false) => 1,
+            (None, true) => 2,
+        })
+        .collect();
+    let mut joined = vec![false; n];
+    let mut joined_at = vec![0usize; cols.len()];
+    let mut width = 0usize;
+    let mut plan: Option<Plan> = None;
+    while let Some(t) = (0..n).filter(|&t| !joined[t]).min_by_key(|&t| {
+        let keys = || joins.iter().filter_map(|j| j.equi_key(t, &joined));
+        let probe = keys().any(|(own, _)| tables[t].has_index(own - offsets[t]));
+        (keys().next().is_none(), !probe, rank[t], t)
+    }) {
+        let table = tables[t];
+        let base = offsets[t];
+        let arity = table.columns().len();
+        for c in 0..arity {
+            joined_at[base + c] = width + c;
+        }
+        let mut own = std::mem::take(&mut pushed[t]);
+        let Some(left) = plan.take() else {
+            own.append(&mut constant);
+            plan = Some(scan(&refs[t].table, table, own, index_eq[t]));
+            joined[t] = true;
+            width = arity;
+            continue;
+        };
+        // The conditions whose last table is `t`.
+        let (ready, rest): (Vec<JoinCond>, Vec<JoinCond>) = std::mem::take(&mut joins)
+            .into_iter()
+            .partition(|j| j.tables.iter().all(|&x| x == t || joined[x]));
+        joins = rest;
+        let mut keys: Vec<(usize, usize)> = Vec::new();
+        let mut residual: Vec<CompiledCmp> = Vec::new();
+        for j in ready {
+            match j.equi_key(t, &joined) {
+                Some((inner, outer)) => keys.push((joined_at[outer], inner - base)),
+                None => residual.push(remap(&j.cmp, |p| joined_at[p])),
+            }
+        }
+        let probe = keys.iter().position(|&(_, inner)| table.has_index(inner));
+        plan = Some(match probe {
+            Some(i) => {
+                let (left_key, right_col) = keys.remove(i);
+                residual.extend(keys.into_iter().map(|(l, r)| CompiledCmp {
+                    lhs: Source::Col(l),
+                    op: CmpOp::Eq,
+                    rhs: Source::Col(width + r),
+                }));
+                Plan::IndexJoin {
+                    left: Box::new(left),
+                    table: refs[t].table.clone(),
+                    left_key,
+                    right_col,
+                    pushed: own,
+                    residual,
+                    arity,
+                }
+            }
+            None => Plan::HashJoin {
+                left: Box::new(left),
+                right: Box::new(scan(&refs[t].table, table, own, index_eq[t])),
+                left_keys: keys.iter().map(|&(l, _)| l).collect(),
+                right_keys: keys.iter().map(|&(_, r)| r).collect(),
+                residual,
+            },
+        });
+        joined[t] = true;
+        width += arity;
+    }
+    let mut plan = plan.expect("FROM names at least one table");
+
+    // Projection, resolved in the written scope and mapped onto the
+    // joined row: `SELECT *` keeps the written column order.
+    let (cols_out, names): (Vec<usize>, Vec<String>) = if core.items.is_empty() {
         (
-            (0..scope.cols.len()).collect(),
-            scope.cols.iter().map(|(_, n)| n.clone()).collect(),
+            joined_at.clone(),
+            cols.iter().map(|(_, name)| (*name).to_owned()).collect(),
         )
     } else {
-        let mut cols = Vec::new();
-        let mut names = Vec::new();
+        let mut out = Vec::with_capacity(core.items.len());
+        let mut names = Vec::with_capacity(core.items.len());
         for item in &core.items {
-            cols.push(scope.resolve(&item.col)?);
+            out.push(joined_at[resolve(&cols, &item.col)?]);
             names.push(
                 item.alias
                     .clone()
                     .unwrap_or_else(|| item.col.column.clone()),
             );
         }
-        (cols, names)
+        (out, names)
     };
     plan = Plan::Project {
         input: Box::new(plan),
-        cols,
+        cols: cols_out,
     };
     if core.distinct {
         plan = Plan::Distinct {
             input: Box::new(plan),
         };
     }
-    Ok((
-        plan,
-        Scope {
-            cols: names.into_iter().map(|n| (String::new(), n)).collect(),
-        },
-    ))
+    Ok((plan, names))
+}
+
+/// `(column, literal)` of a `column = literal` comparison.
+fn col_eq_lit(c: &CompiledCmp) -> Option<(usize, &SqlValue)> {
+    match (&c.lhs, c.op, &c.rhs) {
+        (Source::Col(i), CmpOp::Eq, Source::Lit(v))
+        | (Source::Lit(v), CmpOp::Eq, Source::Col(i)) => Some((*i, v)),
+        _ => None,
+    }
+}
+
+/// The first pushed `column = literal` that an index of `table` can
+/// serve. A NULL literal never qualifies: the index holds NULL keys,
+/// but `= NULL` is never true.
+fn index_eq_pos(table: &Table, pushed: &[CompiledCmp]) -> Option<usize> {
+    pushed
+        .iter()
+        .position(|c| col_eq_lit(c).is_some_and(|(i, v)| !v.is_null() && table.has_index(i)))
+}
+
+/// A scan of `table`, moving the pushed filter at `index_eq` into the
+/// index access path.
+fn scan(name: &str, table: &Table, mut pushed: Vec<CompiledCmp>, index_eq: Option<usize>) -> Plan {
+    let index_eq = index_eq.and_then(|i| {
+        let (col, v) = col_eq_lit(&pushed[i])?;
+        let access = (col, v.clone());
+        pushed.remove(i);
+        Some(access)
+    });
+    Plan::Scan {
+        table: name.to_owned(),
+        pushed,
+        index_eq,
+        arity: table.columns().len(),
+    }
 }
 
 /// Plans a full SELECT query against the database catalog.
 pub fn plan_query(db: &Database, q: &SelectQuery) -> Result<PlannedQuery, SqlError> {
-    let (first_plan, out_scope) = plan_core(db, &q.first)?;
-    let columns: Vec<String> = out_scope.cols.iter().map(|(_, n)| n.clone()).collect();
-    let mut plan = first_plan;
+    let (mut plan, columns) = plan_core(db, &q.first)?;
     if !q.rest.is_empty() {
         let mut inputs = vec![plan];
         let mut dedup = false;
         for (all, core) in &q.rest {
-            let (p, s) = plan_core(db, core)?;
-            if s.cols.len() != columns.len() {
+            let (p, names) = plan_core(db, core)?;
+            if names.len() != columns.len() {
                 return Err(SqlError::new(format!(
                     "UNION arity mismatch: {} vs {}",
                     columns.len(),
-                    s.cols.len()
+                    names.len()
                 )));
             }
             dedup |= !all;
@@ -475,4 +553,237 @@ pub fn plan_query(db: &Database, q: &SelectQuery) -> Result<PlannedQuery, SqlErr
         };
     }
     Ok(PlannedQuery { plan, columns })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::{execute_counted, ExecStats};
+    use crate::sql::parser::parse_query;
+    use crate::value::ColumnType;
+    use obda_genont::Cell;
+
+    /// The university sources at scale 50, each table indexed on its
+    /// first column (as the OBDA demo loads them).
+    fn university() -> Database {
+        let scenario = obda_genont::university_scenario(50, 42);
+        let mut db = Database::new();
+        for t in &scenario.tables {
+            let ty = |i: usize| match t.rows.first().map(|r| &r[i]) {
+                Some(Cell::Text(_)) => ColumnType::Text,
+                _ => ColumnType::Int,
+            };
+            let columns = t
+                .columns
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (c.clone(), ty(i)));
+            db.create_table(&t.name, columns.collect()).unwrap();
+            for row in &t.rows {
+                let row = row.iter().map(|c| match c {
+                    Cell::Int(i) => SqlValue::Int(*i),
+                    Cell::Text(s) => SqlValue::Text(s.clone()),
+                });
+                db.insert(&t.name, row.collect()).unwrap();
+            }
+            db.create_index(&t.name, &t.columns[0]).unwrap();
+        }
+        db
+    }
+
+    fn plan(db: &Database, sql: &str) -> PlannedQuery {
+        plan_query(db, &parse_query(sql).unwrap()).unwrap()
+    }
+
+    fn run_counted(db: &Database, pq: &PlannedQuery) -> (usize, u64) {
+        let mut stats = ExecStats::default();
+        let rs = execute_counted(db, pq, &mut stats).unwrap();
+        (rs.rows.len(), stats.rows_scanned)
+    }
+
+    /// The unfolded SQL of `q(x) :- Student(x), takesCourse(x, "course/7")`
+    /// after PerfectRef and pruning: `takesCourse(x, y), takesCourse(x,
+    /// "course/7")`.
+    const STUDENT_O: &str = "SELECT m1_TB_ENROLL.sid AS o0 FROM TB_ENROLL m1_TB_ENROLL \
+        JOIN TB_ENROLL m2_TB_ENROLL ON m2_TB_ENROLL.cid = 7 AND m1_TB_ENROLL.sid = m2_TB_ENROLL.sid";
+
+    /// The unfolded SQL of `q(y, n) :- takesCourse("person/1", y),
+    /// courseTitle(y, n)`.
+    const TITLE_JOIN_S: &str = "SELECT m1_TB_ENROLL.cid AS o0, m2_TB_COURSE.title AS o1 \
+        FROM TB_ENROLL m1_TB_ENROLL JOIN TB_COURSE m2_TB_COURSE \
+        ON m1_TB_ENROLL.cid = m2_TB_COURSE.cid WHERE m1_TB_ENROLL.sid = 1";
+
+    #[test]
+    fn student_lookup_filters_one_side_and_probes_the_other() {
+        let db = university();
+        let pq = plan(&db, STUDENT_O);
+        // The ON constant runs inside the m2 scan; m1 joins by its `sid`
+        // index. Joined row: m2.sid, m2.cid, m1.sid, m1.cid.
+        let Plan::Project { input, cols } = &pq.plan else {
+            panic!("{:?}", pq.plan)
+        };
+        assert_eq!(cols, &[2]);
+        let Plan::IndexJoin {
+            left,
+            table,
+            left_key: 0,
+            right_col: 0,
+            pushed,
+            residual,
+            ..
+        } = &**input
+        else {
+            panic!("{input:?}")
+        };
+        assert_eq!(table, "TB_ENROLL");
+        assert!(pushed.is_empty() && residual.is_empty());
+        let Plan::Scan {
+            table,
+            pushed,
+            index_eq: None,
+            ..
+        } = &**left
+        else {
+            panic!("{left:?}")
+        };
+        assert_eq!(table, "TB_ENROLL");
+        assert_eq!(
+            pushed,
+            &[CompiledCmp {
+                lhs: Source::Col(1),
+                op: CmpOp::Eq,
+                rhs: Source::Lit(SqlValue::Int(7)),
+            }]
+        );
+        // A full scan of TB_ENROLL's 3,972 rows, then 16 rows fetched by
+        // the probes, every one of them an answer row.
+        assert_eq!(db.table("TB_ENROLL").unwrap().len(), 3_972);
+        assert_eq!(run_counted(&db, &pq), (16, 3_988));
+    }
+
+    #[test]
+    fn title_lookup_starts_at_the_index_and_probes_the_course_index() {
+        let db = university();
+        let pq = plan(&db, TITLE_JOIN_S);
+        // Joined row: m1.sid, m1.cid, m2.cid, m2.title.
+        let Plan::Project { input, cols } = &pq.plan else {
+            panic!("{:?}", pq.plan)
+        };
+        assert_eq!(cols, &[1, 3]);
+        let Plan::IndexJoin {
+            left,
+            table,
+            left_key: 1,
+            right_col: 0,
+            ..
+        } = &**input
+        else {
+            panic!("{input:?}")
+        };
+        assert_eq!(table, "TB_COURSE");
+        let Plan::Scan {
+            pushed, index_eq, ..
+        } = &**left
+        else {
+            panic!("{left:?}")
+        };
+        assert!(pushed.is_empty());
+        assert_eq!(index_eq, &Some((0, SqlValue::Int(1))));
+        // One enrollment through the `sid` index, one course probe.
+        assert_eq!(run_counted(&db, &pq), (1, 2));
+    }
+
+    /// `t(id, name)` and `u(tid, tag)` with NULL keys on both sides.
+    fn small(indexed: bool) -> Database {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INT, name TEXT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c'), (NULL, 'n')")
+            .unwrap();
+        db.execute("CREATE TABLE u (tid INT, tag TEXT)").unwrap();
+        db.execute("INSERT INTO u VALUES (2, 'x'), (2, 'y'), (3, 'z'), (NULL, 'n')")
+            .unwrap();
+        if indexed {
+            db.create_index("t", "id").unwrap();
+            db.create_index("u", "tid").unwrap();
+        }
+        db
+    }
+
+    fn text(s: &str) -> SqlValue {
+        SqlValue::Text(s.into())
+    }
+
+    #[test]
+    fn index_scan_planned_with_an_index_still_filters_without_it() {
+        let pq = plan(&small(true), "SELECT name FROM t WHERE id = 2");
+        assert!(matches!(
+            &pq.plan,
+            Plan::Project { input, .. } if matches!(&**input, Plan::Scan { index_eq: Some(_), .. })
+        ));
+        let mut stats = ExecStats::default();
+        let rs = execute_counted(&small(false), &pq, &mut stats).unwrap();
+        assert_eq!(rs.rows, vec![vec![text("b")]]);
+        assert_eq!(stats.rows_scanned, 4);
+    }
+
+    #[test]
+    fn index_join_planned_with_an_index_still_joins_without_it() {
+        let sql = "SELECT t.name, u.tag FROM t JOIN u ON t.id = u.tid";
+        let pq = plan(&small(true), sql);
+        assert!(matches!(
+            &pq.plan,
+            Plan::Project { input, .. } if matches!(&**input, Plan::IndexJoin { .. })
+        ));
+        let expected = vec![
+            vec![text("b"), text("x")],
+            vec![text("b"), text("y")],
+            vec![text("c"), text("z")],
+        ];
+        for db in [small(true), small(false)] {
+            let mut rows = crate::exec::execute(&db, &pq).unwrap().rows;
+            rows.sort();
+            assert_eq!(rows, expected);
+        }
+    }
+
+    #[test]
+    fn equality_with_null_never_matches_through_an_index() {
+        let db = small(true);
+        let r = db.query("SELECT name FROM t WHERE id = NULL").unwrap();
+        assert!(r.rows.is_empty());
+    }
+
+    #[test]
+    fn select_star_keeps_the_written_column_order() {
+        let db = small(true);
+        let pq = plan(&db, "SELECT * FROM u JOIN t ON u.tid = t.id WHERE t.id = 2");
+        // `t` has the index equality, so it is scanned first.
+        let Plan::Project { input, .. } = &pq.plan else {
+            panic!("{:?}", pq.plan)
+        };
+        assert!(matches!(
+            &**input,
+            Plan::IndexJoin { left, table, .. }
+                if table == "u" && matches!(&**left, Plan::Scan { table, .. } if table == "t")
+        ));
+        assert_eq!(pq.columns, vec!["tid", "tag", "id", "name"]);
+        let mut rows = crate::exec::execute(&db, &pq).unwrap().rows;
+        rows.sort();
+        let row = |tag: &str| vec![SqlValue::Int(2), text(tag), SqlValue::Int(2), text("b")];
+        assert_eq!(rows, vec![row("x"), row("y")]);
+    }
+
+    #[test]
+    fn conditions_resolve_in_their_written_scope() {
+        let db = small(true);
+        // The first ON clause cannot see `v`, joined after it.
+        let early = "SELECT t.name FROM t JOIN u ON t.id = v.tid JOIN u v ON v.tid = u.tid";
+        let err = db.query(early).unwrap_err();
+        assert!(err.message().contains("unknown column `v.tid`"), "{err}");
+        let late = "SELECT t.name FROM t JOIN u ON t.id = u.tid JOIN u v ON v.tid = u.tid";
+        assert_eq!(db.query(late).unwrap().rows.len(), 5);
+        // A qualifier naming no table fails wherever it is written.
+        assert!(db.query("SELECT name FROM t WHERE zz.id = 1").is_err());
+        assert!(db.query("SELECT name FROM t JOIN u ON zz.id = 1").is_err());
+    }
 }
