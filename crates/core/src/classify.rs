@@ -74,24 +74,15 @@ impl Classification {
     /// recomputed (it is near-linear, unlike the closure). The caller is
     /// responsible for also recording the axioms in its `Tbox`.
     pub fn add_axioms(&mut self, axioms: &[obda_dllite::Axiom]) {
-        let mut any_negative = false;
         for ax in axioms {
-            if !ax.is_positive() {
-                any_negative = true;
-            }
-            let had_quals = self.graph.qual_axioms.len();
             for (from, to) in self.graph.insert_axiom(ax) {
                 self.closure.insert_edge(&self.graph, from, to);
             }
-            if self.graph.qual_axioms.len() != had_quals {
-                // New qualified axioms can change the unsat fixpoint even
-                // without new arcs.
-                any_negative = true;
-            }
         }
-        // Unsatisfiability can grow whenever negative structure or new
-        // reachability appears; recomputing is cheap relative to closure.
-        if any_negative || !axioms.is_empty() {
+        // Any axiom can grow the unsat set: a negative inclusion, a new
+        // qualified existential (even without new arcs) or new
+        // reachability. Recomputing is cheap relative to the closure.
+        if !axioms.is_empty() {
             self.unsat = compute_unsat(&self.graph);
         }
     }

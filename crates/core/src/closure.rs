@@ -16,38 +16,51 @@
 //!   `O(V·E/64)`; fastest on small dense graphs but requires `O(V²/8)`
 //!   bytes, so it refuses graphs above a node threshold.
 //!
-//! All engines produce the same [`Closure`]: per-node sorted successor
-//! lists over `NodeId`s. A node is listed as its own successor only when
-//! it lies on a cycle (`S ⊑ … ⊑ S` through at least one arc); the trivial
-//! reflexive subsumption is handled by [`Closure::reaches`] directly.
+//! All engines produce the same [`Closure`]: a sorted successor list over
+//! `NodeId`s for every node. The members of a strongly connected
+//! component (SCC) reach exactly the same nodes, so the SCC-based engines
+//! store one list per component and an index from each node to its list;
+//! a Galen-style cycle of a thousand concepts then costs one list, not a
+//! thousand copies. The per-source engines (DFS, BFS) store one list per
+//! node. A node is listed as its own successor only when it lies on a
+//! cycle (`S ⊑ … ⊑ S` through at least one arc); the trivial reflexive
+//! subsumption is handled by [`Closure::reaches`] directly.
 
 use crate::graph::{NodeId, TboxGraph};
 
-/// The transitive closure of a [`TboxGraph`]: sorted successor lists.
+/// The transitive closure of a [`TboxGraph`]: sorted successor lists,
+/// shared between nodes that reach each other.
 #[derive(Debug, Clone)]
 pub struct Closure {
-    succ: Vec<Vec<u32>>,
+    /// Index into `lists` of each node's successor list.
+    list_of: Vec<u32>,
+    /// Sorted successor lists. Nodes share a list only when they are
+    /// mutually reachable, which makes their successors equal.
+    lists: Vec<Vec<u32>>,
 }
 
 impl Closure {
-    /// Builds a closure from per-node sorted successor lists (used by the
-    /// parallel engines in [`crate::closure_par`]).
-    pub(crate) fn from_successor_lists(succ: Vec<Vec<u32>>) -> Self {
-        Closure { succ }
+    /// Builds a closure from sorted successor lists and the index of each
+    /// node's list in `lists`. Nodes may share a list only when they are
+    /// mutually reachable: the SCC engines pass one list per component
+    /// (indexed by `Condensation::comp_of`), the per-source engines one
+    /// list per node.
+    pub(crate) fn new(list_of: Vec<u32>, lists: Vec<Vec<u32>>) -> Self {
+        Closure { list_of, lists }
     }
 
     /// Non-trivial successors of `n` (nodes reachable through at least one
     /// arc), sorted ascending.
     #[inline]
     pub fn successors(&self, n: NodeId) -> &[u32] {
-        &self.succ[n.index()]
+        &self.lists[self.list_of[n.index()] as usize]
     }
 
     /// Whether `to` is reachable from `from` (reflexively: `reaches(n, n)`
     /// is always true).
     #[inline]
     pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
-        from == to || self.succ[from.index()].binary_search(&to.0).is_ok()
+        from == to || self.successors(from).binary_search(&to.0).is_ok()
     }
 
     /// Incrementally incorporates a *new* graph arc `(from, to)` into the
@@ -57,6 +70,11 @@ impl Closure {
     /// `O(|pred*(from)| · |succ*(to)|)` sorted-merge work — which keeps
     /// re-classification after small ontology edits far cheaper than a
     /// full recomputation (see `Classification::add_axioms`).
+    ///
+    /// Each distinct list is merged once. Nodes that share a list reach
+    /// each other, so either all of them reach `from` or none does, and
+    /// they all gain the same targets; adding arcs never separates them,
+    /// so they can go on sharing.
     pub fn insert_edge(&mut self, g: &TboxGraph, from: NodeId, to: NodeId) {
         if self.reaches(from, to) {
             return;
@@ -64,16 +82,21 @@ impl Closure {
         // Targets: `to` plus everything it already reaches (`to` may be in
         // its own list when it lies on a cycle — keep the list duplicate
         // free).
-        let mut targets: Vec<u32> = self.succ[to.index()].clone();
+        let mut targets: Vec<u32> = self.successors(to).to_vec();
         if let Err(pos) = targets.binary_search(&to.0) {
             targets.insert(pos, to.0);
         }
-        // One scratch buffer reused across predecessors: after each merge
-        // it swaps with the predecessor's old list, so the loop allocates
-        // at most once per call instead of once per predecessor.
+        let mut merged_already = vec![false; self.lists.len()];
+        // One scratch buffer reused across lists: after each merge it
+        // swaps with the list's old contents, so the loop allocates at
+        // most once per call instead of once per list.
         let mut merged: Vec<u32> = Vec::new();
         for p in predecessors_reflexive(g, from) {
-            let existing = &self.succ[p as usize];
+            let l = self.list_of[p as usize] as usize;
+            if std::mem::replace(&mut merged_already[l], true) {
+                continue;
+            }
+            let existing = &self.lists[l];
             // Sorted merge, skipping already-present targets.
             merged.clear();
             merged.reserve(existing.len() + targets.len());
@@ -108,18 +131,22 @@ impl Closure {
             // `merged` from `targets` only when the new arc closes a
             // cycle through `p`, and from `existing` only if it was
             // already on one.
-            std::mem::swap(&mut self.succ[p as usize], &mut merged);
+            std::mem::swap(&mut self.lists[l], &mut merged);
         }
     }
 
-    /// Total number of arcs in the closure.
+    /// Total number of arcs in the closure, counted per node (a list
+    /// shared by `k` nodes counts `k` times).
     pub fn num_arcs(&self) -> usize {
-        self.succ.iter().map(Vec::len).sum()
+        self.list_of
+            .iter()
+            .map(|&l| self.lists[l as usize].len())
+            .sum()
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.succ.len()
+        self.list_of.len()
     }
 }
 
@@ -281,7 +308,7 @@ impl ClosureEngine for DfsEngine {
             out.sort_unstable();
             succ[src as usize] = out;
         }
-        Closure { succ }
+        Closure::new((0..n as u32).collect(), succ)
     }
 }
 
@@ -320,7 +347,7 @@ impl ClosureEngine for BfsEngine {
             out.sort_unstable();
             succ[src as usize] = out;
         }
-        Closure { succ }
+        Closure::new((0..n as u32).collect(), succ)
     }
 }
 
@@ -429,6 +456,29 @@ impl Condensation {
     pub fn num_comps(&self) -> usize {
         self.members.len()
     }
+
+    /// The sorted successor list shared by the members of component `c`,
+    /// given the components `reach` it reaches (excluding `c` itself):
+    /// their members, plus `c`'s own members when `c` is a cycle.
+    pub(crate) fn component_successors(&self, c: usize, reach: &[u32]) -> Vec<u32> {
+        let own = &self.members[c];
+        let cyclic = own.len() > 1;
+        let mut out: Vec<u32> = Vec::with_capacity(
+            if cyclic { own.len() } else { 0 }
+                + reach
+                    .iter()
+                    .map(|&d| self.members[d as usize].len())
+                    .sum::<usize>(),
+        );
+        if cyclic {
+            out.extend_from_slice(own);
+        }
+        for &d in reach {
+            out.extend_from_slice(&self.members[d as usize]);
+        }
+        out.sort_unstable();
+        out
+    }
 }
 
 /// SCC condensation + reachable-set propagation.
@@ -466,30 +516,10 @@ impl ClosureEngine for SccEngine {
             out.sort_unstable();
             reach[c as usize] = out;
         }
-        // Expand to per-node successor lists.
-        let n = g.num_nodes();
-        let mut succ = vec![Vec::new(); n];
-        for v in 0..n as u32 {
-            let c = cond.comp_of[v as usize] as usize;
-            let own = &cond.members[c];
-            let mut out: Vec<u32> = Vec::with_capacity(
-                own.len() - 1
-                    + reach[c]
-                        .iter()
-                        .map(|&d| cond.members[d as usize].len())
-                        .sum::<usize>(),
-            );
-            if own.len() > 1 {
-                // Cycle: every other member, and v itself, is a successor.
-                out.extend(own.iter().copied());
-            }
-            for &d in &reach[c] {
-                out.extend(cond.members[d as usize].iter().copied());
-            }
-            out.sort_unstable();
-            succ[v as usize] = out;
-        }
-        Closure { succ }
+        let lists = (0..nc)
+            .map(|c| cond.component_successors(c, &reach[c]))
+            .collect();
+        Closure::new(cond.comp_of, lists)
     }
 }
 
@@ -534,29 +564,20 @@ impl ClosureEngine for BitsetEngine {
                 }
             }
         }
-        // Expand to per-node sorted successor lists.
-        let n = g.num_nodes();
-        let mut succ = vec![Vec::new(); n];
-        for v in 0..n as u32 {
-            let c = cond.comp_of[v as usize] as usize;
-            let row = &rows[c * words..(c + 1) * words];
-            let mut out: Vec<u32> = Vec::new();
-            if cond.members[c].len() > 1 {
-                out.extend(cond.members[c].iter().copied());
-            }
-            for (wi, &word) in row.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let d = wi * 64 + b;
-                    out.extend(cond.members[d].iter().copied());
+        let lists = (0..nc)
+            .map(|c| {
+                let mut reach: Vec<u32> = Vec::new();
+                for (wi, &word) in rows[c * words..(c + 1) * words].iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        reach.push((wi * 64) as u32 + bits.trailing_zeros());
+                        bits &= bits - 1;
+                    }
                 }
-            }
-            out.sort_unstable();
-            succ[v as usize] = out;
-        }
-        Closure { succ }
+                cond.component_successors(c, &reach)
+            })
+            .collect();
+        Closure::new(cond.comp_of, lists)
     }
 }
 
@@ -690,19 +711,22 @@ mod tests {
         if c.reaches(from, to) {
             return;
         }
-        let mut targets: Vec<u32> = c.succ[to.index()].clone();
+        let mut targets: Vec<u32> = c.successors(to).to_vec();
         if let Err(pos) = targets.binary_search(&to.0) {
             targets.insert(pos, to.0);
         }
         for p in predecessors_reflexive(g, from) {
-            let mut merged: Vec<u32> = c.succ[p as usize]
+            let mut merged: Vec<u32> = c
+                .successors(NodeId(p))
                 .iter()
                 .chain(targets.iter())
                 .copied()
                 .collect();
             merged.sort_unstable();
             merged.dedup();
-            c.succ[p as usize] = merged;
+            // A fresh list per predecessor, never shared.
+            c.list_of[p as usize] = c.lists.len() as u32;
+            c.lists.push(merged);
         }
     }
 

@@ -2,28 +2,34 @@
 //! no external crates).
 //!
 //! Both engines start from the same Tarjan condensation as
-//! [`SccEngine`](crate::closure::SccEngine) and parallelize the two
-//! expensive phases — reachable-set propagation over the condensation and
-//! expansion back to per-node successor lists:
+//! [`SccEngine`](crate::closure::SccEngine), parallelize reachable-set
+//! propagation over it, and produce one sorted successor list per
+//! component (shared by its members, see [`Closure`]):
 //!
 //! * [`ParSccEngine`] — layers the reverse-topological component order
 //!   into *levels* (a component's level is one more than the maximum
 //!   level of its successors). All components in a level depend only on
 //!   lower levels, so each level's reachable-set merges fan out across
-//!   worker threads with a join barrier per level.
+//!   worker threads with a join barrier per level; the components'
+//!   successor lists are then expanded in parallel over component ranges.
 //! * [`ChunkedBitsetEngine`] — processes source components in 64-wide
 //!   *blocks*: one `u64` word per component records which of the block's
 //!   64 sources reach it, and a single forward-topological sweep
-//!   propagates the words along condensation arcs. Memory is `O(V)` per
-//!   in-flight block (unlike the dense engine's `O(V²/8)` matrix, so
-//!   there is no size gate), and blocks are independent, so they spread
-//!   across worker threads with no synchronization at all.
+//!   propagates the words along condensation arcs. The sources' successor
+//!   lists are then written straight from the words: one ascending pass
+//!   over node ids pushes each node into the lists of the sources whose
+//!   bits its component carries, so the lists come out sorted. Memory is
+//!   `O(V)` per in-flight block (unlike the dense engine's `O(V²/8)`
+//!   matrix, so there is no size gate), and blocks are independent, so
+//!   they spread across worker threads with no synchronization at all.
 //!
-//! Both produce [`Closure`]s bit-identical to the sequential engines
-//! (property-tested in `tests/proptest_closure_par.rs`): per-component
-//! work is deterministic and workers write disjoint slots.
+//! Both produce [`Closure`]s identical to the sequential engines
+//! (property-tested in `tests/proptest_closure_par.rs`, and node by node
+//! on the block-spanning presets in `tests/chunked_closure.rs`):
+//! per-component work is deterministic and workers write disjoint slots.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 use crate::closure::{Closure, ClosureEngine, Condensation};
 use crate::graph::TboxGraph;
@@ -46,7 +52,7 @@ fn resolve_threads(threads: usize) -> usize {
 
 /// Splits `items` into at most `parts` contiguous chunks of near-equal
 /// size (returns ranges; never yields empty chunks).
-fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
     }
@@ -63,67 +69,41 @@ fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Expands component-level reachability (`comp_reach[c]` = sorted comp
-/// ids reachable from `c`, excluding `c`) to per-node sorted successor
-/// lists, in parallel over contiguous node ranges.
-fn expand_nodes_parallel(
-    g: &TboxGraph,
-    cond: &Condensation,
-    comp_reach: &[Vec<u32>],
-    threads: usize,
-) -> Vec<Vec<u32>> {
-    let n = g.num_nodes();
-    let mut succ: Vec<Vec<u32>> = Vec::with_capacity(n);
-    if threads <= 1 || n < 4096 {
-        for v in 0..n {
-            succ.push(node_successors(cond, comp_reach, v));
-        }
-        return succ;
-    }
-    let ranges = chunk_ranges(n, threads);
-    let mut parts: Vec<Vec<Vec<u32>>> = Vec::with_capacity(ranges.len());
+/// Runs `f(start, &mut items[range])` on one scoped thread per range.
+/// The ranges must be contiguous, start at 0 and cover `items`.
+fn scoped_chunks<T: Send>(
+    items: &mut [T],
+    ranges: Vec<Range<usize>>,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
     std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|r| {
-                let r = r.clone();
-                s.spawn(move || {
-                    r.map(|v| node_successors(cond, comp_reach, v))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("closure expansion worker panicked"));
+        let mut rest = items;
+        for r in ranges {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+            rest = tail;
+            let f = &f;
+            s.spawn(move || f(r.start, mine));
         }
     });
-    for part in parts {
-        succ.extend(part);
-    }
-    succ
 }
 
-/// Sorted successor list of one node given component-level reachability.
-fn node_successors(cond: &Condensation, comp_reach: &[Vec<u32>], v: usize) -> Vec<u32> {
-    let c = cond.comp_of[v] as usize;
-    let own = &cond.members[c];
-    let reach = &comp_reach[c];
-    let mut out: Vec<u32> = Vec::with_capacity(
-        if own.len() > 1 { own.len() } else { 0 }
-            + reach
-                .iter()
-                .map(|&d| cond.members[d as usize].len())
-                .sum::<usize>(),
-    );
-    if own.len() > 1 {
-        // Cycle: every member (including v itself) is a successor.
-        out.extend(own.iter().copied());
+/// Expands component-level reachability (`reach[c]` = sorted comp ids
+/// reachable from `c`, excluding `c`) to one sorted successor list per component,
+/// in parallel over contiguous component ranges.
+fn expand_components(cond: &Condensation, reach: &[Vec<u32>], threads: usize) -> Vec<Vec<u32>> {
+    let nc = cond.num_comps();
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nc];
+    let fill = |start: usize, out: &mut [Vec<u32>]| {
+        for (i, list) in out.iter_mut().enumerate() {
+            *list = cond.component_successors(start + i, &reach[start + i]);
+        }
+    };
+    if threads <= 1 || nc < 4096 {
+        fill(0, &mut lists);
+    } else {
+        scoped_chunks(&mut lists, chunk_ranges(nc, threads), fill);
     }
-    for &d in reach {
-        out.extend(cond.members[d as usize].iter().copied());
-    }
-    out.sort_unstable();
-    out
+    lists
 }
 
 /// Level-scheduled parallel SCC-condensation engine.
@@ -232,8 +212,8 @@ impl ClosureEngine for ParSccEngine {
             }
         }
 
-        let succ = expand_nodes_parallel(g, &cond, &reach, self.threads);
-        Closure::from_successor_lists(succ)
+        let lists = expand_components(&cond, &reach, self.threads);
+        Closure::new(cond.comp_of, lists)
     }
 }
 
@@ -297,92 +277,82 @@ impl ClosureEngine for ChunkedBitsetEngine {
     fn compute(&self, g: &TboxGraph) -> Closure {
         let cond = Condensation::build(g);
         let nc = cond.num_comps();
-        if nc == 0 {
-            return Closure::from_successor_lists(Vec::new());
-        }
         let num_blocks = nc.div_ceil(64);
-
-        // comp_reach[c]: sorted comp ids reachable from c (excluding c).
-        let mut comp_reach: Vec<Vec<u32>> = vec![Vec::new(); nc];
-        let compute_block_range = |blocks: std::ops::Range<usize>| -> Vec<(usize, Vec<Vec<u32>>)> {
-            // One u64 per component: bit i set ⟺ the block's i-th source
-            // reaches this component. Reused (re-zeroed) across blocks.
-            let mut w = vec![0u64; nc];
-            let mut out = Vec::with_capacity(blocks.len());
-            for b in blocks {
-                let lo = b * 64;
-                let hi = ((b + 1) * 64).min(nc);
-                w[..hi].fill(0);
-                for (i, s) in (lo..hi).enumerate() {
-                    w[s] |= 1u64 << i;
-                }
-                // Condensation arcs run from higher to lower component id
-                // (Tarjan emits successors first), so one descending sweep
-                // is a forward-topological propagation. Components above
-                // `hi` can never carry block bits — skip them.
-                for c in (0..hi).rev() {
-                    let wc = w[c];
-                    if wc == 0 {
-                        continue;
-                    }
-                    for &d in &cond.comp_succ[c] {
-                        w[d as usize] |= wc;
-                    }
-                }
-                // Ascending scan yields each source's reach list already
-                // sorted. Clear the source's own bit first so the list
-                // excludes `c` itself (cycles are reintroduced during node
-                // expansion from `members`).
-                let mut lists: Vec<Vec<u32>> = vec![Vec::new(); hi - lo];
-                for (i, s) in (lo..hi).enumerate() {
-                    w[s] &= !(1u64 << i);
-                }
-                for (c, &wc) in w[..hi].iter().enumerate() {
-                    let mut bits = wc;
-                    while bits != 0 {
-                        let i = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        lists[i].push(c as u32);
-                    }
-                }
-                out.push((b, lists));
-            }
-            out
-        };
-
-        if self.threads <= 1 || num_blocks == 1 {
-            for (b, lists) in compute_block_range(0..num_blocks) {
-                for (i, list) in lists.into_iter().enumerate() {
-                    comp_reach[b * 64 + i] = list;
-                }
-            }
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nc];
+        if self.threads <= 1 || num_blocks <= 1 {
+            sweep_blocks(&cond, 0, &mut lists);
         } else {
-            let ranges = chunk_ranges(num_blocks, self.threads);
-            let mut results: Vec<Vec<(usize, Vec<Vec<u32>>)>> = Vec::with_capacity(ranges.len());
-            std::thread::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|r| {
-                        let r = r.clone();
-                        let f = &compute_block_range;
-                        s.spawn(move || f(r))
-                    })
-                    .collect();
-                for h in handles {
-                    results.push(h.join().expect("bitset block worker panicked"));
-                }
+            // Split at block boundaries: each worker owns the lists of the
+            // sources in its blocks.
+            let ranges = chunk_ranges(num_blocks, self.threads)
+                .into_iter()
+                .map(|r| r.start * 64..(r.end * 64).min(nc))
+                .collect();
+            scoped_chunks(&mut lists, ranges, |start, out| {
+                sweep_blocks(&cond, start, out)
             });
-            for part in results {
-                for (b, lists) in part {
-                    for (i, list) in lists.into_iter().enumerate() {
-                        comp_reach[b * 64 + i] = list;
-                    }
-                }
+        }
+        Closure::new(cond.comp_of, lists)
+    }
+}
+
+/// Writes the successor lists of source components `start..start +
+/// out.len()` (`start` a multiple of 64) into `out`, one 64-source block
+/// at a time.
+fn sweep_blocks(cond: &Condensation, start: usize, out: &mut [Vec<u32>]) {
+    // One u64 per component: bit i set ⟺ the block's i-th source reaches
+    // this component. Reused across blocks; blocks ascend, so entries
+    // at or above a block's `hi` are still zero.
+    let mut w = vec![0u64; cond.num_comps()];
+    for (k, lists) in out.chunks_mut(64).enumerate() {
+        let lo = start + k * 64;
+        let hi = lo + lists.len();
+        w[..hi].fill(0);
+        for (i, s) in (lo..hi).enumerate() {
+            w[s] |= 1u64 << i;
+        }
+        // Condensation arcs run from higher to lower component id
+        // (Tarjan emits successors first), so one descending sweep is a
+        // forward-topological propagation. Components above `hi` can
+        // never carry block bits — skip them.
+        for c in (0..hi).rev() {
+            let wc = w[c];
+            if wc == 0 {
+                continue;
+            }
+            for &d in &cond.comp_succ[c] {
+                w[d as usize] |= wc;
             }
         }
-
-        let succ = expand_nodes_parallel(g, &cond, &comp_reach, self.threads);
-        Closure::from_successor_lists(succ)
+        // A singleton source does not reach itself (the graph has no
+        // self-loops), so it clears its own bit; a cyclic source keeps
+        // it, so its members list themselves.
+        for (i, s) in (lo..hi).enumerate() {
+            if cond.members[s].len() == 1 {
+                w[s] &= !(1u64 << i);
+            }
+        }
+        // Exact sizes first, so each list is allocated once.
+        let mut len = [0usize; 64];
+        for (c, &wc) in w[..hi].iter().enumerate() {
+            let size = cond.members[c].len();
+            let mut bits = wc;
+            while bits != 0 {
+                len[bits.trailing_zeros() as usize] += size;
+                bits &= bits - 1;
+            }
+        }
+        for (list, &n) in lists.iter_mut().zip(&len) {
+            *list = Vec::with_capacity(n);
+        }
+        // Ascending node ids: every list comes out sorted.
+        for (v, &c) in cond.comp_of.iter().enumerate() {
+            let mut bits = w[c as usize];
+            while bits != 0 {
+                lists[bits.trailing_zeros() as usize].push(v as u32);
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
