@@ -295,8 +295,12 @@ impl Conn {
     }
 
     fn roundtrip(&mut self, line: &str) -> std::io::Result<Json> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per request: on a `TCP_NODELAY` socket a separate
+        // newline write can wake the server for a frame it cannot parse yet.
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes())?;
         let mut resp = String::new();
         self.reader.read_line(&mut resp)?;
         Json::parse(resp.trim()).map_err(|e| std::io::Error::other(e.to_string()))

@@ -3,11 +3,13 @@
 //! The wire protocol is newline-delimited JSON; the build environment is
 //! offline, so instead of `serde_json` this is a small recursive-descent
 //! parser hardened for server use: depth-capped (malicious nesting can't
-//! blow the stack), strict about trailing garbage, and tolerant of
-//! nothing else. Numbers are kept as `f64` — every number the protocol
-//! carries (ids, counts, milliseconds) fits without loss.
+//! blow the stack), linear in the input (strings are copied in runs, so
+//! a megabyte frame costs a megabyte of work), strict about trailing
+//! garbage, and tolerant of nothing else. Numbers are kept as `f64` —
+//! every number the protocol carries (ids, counts, milliseconds) fits
+//! without loss.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,14 +47,11 @@ pub const MAX_DEPTH: usize = 64;
 impl Json {
     /// Parses exactly one JSON value spanning the whole input.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src: s, pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(p.err("trailing characters after value"));
         }
         Ok(v)
@@ -110,33 +109,38 @@ impl Json {
 
     /// Serializes into `out` (compact, no whitespace).
     pub fn write(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = self.write_to(out);
+    }
+
+    fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
             Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    v.write(out);
+                    v.write_to(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_str(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_str(k, out)?;
+                    out.write_char(':')?;
+                    v.write_to(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -144,9 +148,7 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        self.write(&mut s);
-        f.write_str(&s)
+        self.write_to(f)
     }
 }
 
@@ -186,38 +188,57 @@ impl From<bool> for Json {
     }
 }
 
-fn write_num(n: f64, out: &mut String) {
-    use std::fmt::Write as _;
+fn write_num(n: f64, out: &mut impl fmt::Write) -> fmt::Result {
     if !n.is_finite() {
-        out.push_str("null"); // JSON has no NaN/Inf
+        out.write_str("null") // JSON has no NaN/Inf
     } else if n.fract() == 0.0 && n.abs() < 9e15 {
-        let _ = write!(out, "{}", n as i64);
+        write!(out, "{}", n as i64)
     } else {
-        let _ = write!(out, "{n}");
+        write!(out, "{n}")
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Writes `s` as a JSON string literal.
+fn write_str(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
+    Esc(&mut *out).write_str(s)?;
+    out.write_char('"')
+}
+
+/// A `fmt::Write` adapter that escapes whatever is written through it
+/// for the inside of a JSON string literal, so a value's `Display` can
+/// be written as a JSON string with no intermediate `String`. Runs that
+/// need no escaping are copied whole; only `"`, `\` and control
+/// characters break a run, and all of them are ASCII, so every run ends
+/// on a char boundary and text written in pieces escapes as it would
+/// whole.
+pub(crate) struct Esc<'a, W>(pub(crate) &'a mut W);
+
+impl<W: fmt::Write> fmt::Write for Esc<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let out = &mut *self.0;
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
             }
-            c => out.push(c),
+            out.write_str(s.get(run..i).unwrap_or_default())?;
+            match b {
+                b'"' => out.write_str("\\\"")?,
+                b'\\' => out.write_str("\\\\")?,
+                b'\n' => out.write_str("\\n")?,
+                b'\r' => out.write_str("\\r")?,
+                b'\t' => out.write_str("\\t")?,
+                _ => write!(out, "\\u{b:04x}")?,
+            }
+            run = i + 1;
         }
+        out.write_str(s.get(run..).unwrap_or_default())
     }
-    out.push('"');
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -230,7 +251,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.src.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -240,7 +261,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8, what: &str) -> Result<(), JsonError> {
@@ -253,8 +274,11 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
-        // lint: allow(R1.index, "pos <= bytes.len() is the parser's cursor invariant; an at-end slice is empty, not a panic")
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self
+            .src
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(lit))
+        {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -337,9 +361,10 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        // lint: allow(R1.index, "start is a saved cursor position <= pos <= bytes.len()")
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = self
+            .src
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid number"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
@@ -398,17 +423,20 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // on char boundaries is safe).
-                    // lint: allow(R1.index, "pos <= bytes.len() cursor invariant")
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = match rest.chars().next() {
-                        Some(c) => c,
-                        None => return Err(self.err("unexpected end of input")),
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"`, `\` or control
+                    // byte. All three are ASCII, so the run ends on a char
+                    // boundary of the input, and each byte is looked at
+                    // once however long the string is.
+                    let rest = self
+                        .src
+                        .get(self.pos..)
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    let len = rest
+                        .bytes()
+                        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(rest.get(..len).unwrap_or_default());
+                    self.pos += len;
                 }
             }
         }
@@ -417,12 +445,13 @@ impl<'a> Parser<'a> {
     /// Reads four hex digits (after `\u`), leaving `pos` past them.
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.src.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        // lint: allow(R1.index, "end <= bytes.len() checked on the line above")
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        let text = self
+            .src
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let v = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(v)

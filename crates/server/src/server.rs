@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Connection threads parse frames and *wait* on a per-request channel;
-//! workers execute queries against the shared endpoints. The split
+//! workers execute queries against the shared endpoints and render each
+//! reply line, which the connection thread only writes. The split
 //! means slow clients never occupy a worker, and the bounded queue is
 //! the single admission-control point: when it is full the connection
 //! thread answers `overloaded` immediately instead of queueing
@@ -64,11 +65,12 @@ const TICK: Duration = Duration::from_millis(50);
 /// the deadline still gets delivered instead of racing the timer.
 const DEADLINE_GRACE: Duration = Duration::from_millis(100);
 
-/// What a worker sends back to the waiting connection thread (timing
-/// detail rides inside `json`; the envelope carries what the metrics
-/// and access log need).
+/// What a worker sends back to the waiting connection thread: the
+/// finished reply line, which the connection thread only writes, and
+/// the envelope the metrics and access log need.
 struct WorkerReply {
-    json: Json,
+    /// The rendered reply, newline included.
+    line: String,
     status: &'static str,
     rows: usize,
 }
@@ -495,11 +497,17 @@ fn summary_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// `json` rendered as one reply line, newline included.
+fn reply_line(json: &Json) -> String {
+    let mut line = String::new();
+    json.write(&mut line);
+    line.push('\n');
+    line
+}
+
 /// Writes one response line; returns `false` when the client is gone.
 fn write_response(stream: &mut TcpStream, json: &Json) -> bool {
-    let mut line = json.to_string();
-    line.push('\n');
-    stream.write_all(line.as_bytes()).is_ok()
+    stream.write_all(reply_line(json).as_bytes()).is_ok()
 }
 
 fn access_log(
@@ -525,16 +533,27 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(TICK));
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` holds no newline, so each byte read is searched
+    // once however many reads a long frame takes.
+    let mut scanned = 0;
     let mut chunk = [0u8; 8 * 1024];
     loop {
-        // Drain complete frames already buffered.
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let frame: Vec<u8> = buf.drain(..=nl).collect();
-            // lint: allow(R1.index, "frame ends at the newline found above, so len >= 1 and the range is in bounds")
-            if !process_frame(shared, &mut stream, &frame[..frame.len() - 1]) {
+        // Answer every complete frame buffered, then drop them at once.
+        let mut start = 0;
+        while let Some(nl) = buf
+            .get(scanned..)
+            .and_then(|fresh| fresh.iter().position(|&b| b == b'\n'))
+            .map(|at| scanned + at)
+        {
+            let frame = buf.get(start..nl).unwrap_or_default();
+            if !process_frame(shared, &mut stream, frame) {
                 return;
             }
+            start = nl + 1;
+            scanned = start;
         }
+        buf.drain(..start);
+        scanned = buf.len();
         if buf.len() > shared.cfg.max_line_bytes {
             // The stream can't be re-aligned to frame boundaries once a
             // line overflows; answer and hang up.
@@ -658,18 +677,18 @@ fn handle_work(shared: &Arc<Shared>, stream: &mut TcpStream, work: WorkItem) -> 
     let wait = deadline
         .saturating_duration_since(Instant::now())
         .saturating_add(DEADLINE_GRACE);
-    let (resp, status, rows) = match resp_rx.recv_timeout(wait) {
-        Ok(reply) => (reply.json, reply.status, reply.rows),
+    let (line, status, rows) = match resp_rx.recv_timeout(wait) {
+        Ok(reply) => (reply.line, reply.status, reply.rows),
         Err(RecvTimeoutError::Timeout) => {
             cancelled.store(true, Ordering::SeqCst);
-            (timeout_response(&id), "timeout", 0)
+            (reply_line(&timeout_response(&id)), "timeout", 0)
         }
         Err(RecvTimeoutError::Disconnected) => (
-            error_response(
+            reply_line(&error_response(
                 &id,
                 "internal",
                 "internal error: worker dropped the request",
-            ),
+            )),
             "error",
             0,
         ),
@@ -682,7 +701,7 @@ fn handle_work(shared: &Arc<Shared>, stream: &mut TcpStream, work: WorkItem) -> 
     };
     metrics.latency.record(total_us);
     access_log(shared, &endpoint_name, kind, status, rows, total_us);
-    write_response(stream, &resp)
+    stream.write_all(line.as_bytes()).is_ok()
 }
 
 /// Burns `delay_ms` of simulated work in cancel-aware slices, measured
@@ -717,7 +736,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         if Instant::now() >= job.deadline {
             // Expired while queued: cheap timeout, no evaluation at all.
             let _ = job.resp_tx.send(WorkerReply {
-                json: timeout_response(job.work.id()),
+                line: reply_line(&timeout_response(job.work.id())),
                 status: "timeout",
                 rows: 0,
             });
@@ -725,7 +744,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         }
         if job.endpoint.delay_ms > 0 && !interruptible_delay(&job, job.endpoint.delay_ms) {
             let _ = job.resp_tx.send(WorkerReply {
-                json: timeout_response(job.work.id()),
+                line: reply_line(&timeout_response(job.work.id())),
                 status: "timeout",
                 rows: 0,
             });
@@ -757,26 +776,37 @@ fn worker_loop(shared: &Arc<Shared>) {
         }));
         let exec_us = t.elapsed().as_micros() as u64;
         let id = job.work.id();
+        // The worker renders the whole line, so the `serialize` span
+        // covers all reply rendering and the connection thread only
+        // writes bytes.
         let reply = {
             let _serialize = ctx.span("serialize");
             match outcome {
-                Ok(Ok(ExecOutput::Answers(answers))) => WorkerReply {
-                    rows: answers.len(),
-                    json: ok_response(id, &answers, wait_us, exec_us),
-                    status: "ok",
-                },
+                Ok(Ok(ExecOutput::Answers(answers))) => {
+                    let mut line = ok_response(id, &answers, wait_us, exec_us);
+                    line.push('\n');
+                    WorkerReply {
+                        rows: answers.len(),
+                        line,
+                        status: "ok",
+                    }
+                }
                 Ok(Ok(ExecOutput::Applied(summary))) => WorkerReply {
                     rows: summary.inserted + summary.deleted,
-                    json: write_ok_response(id, &summary, wait_us, exec_us),
+                    line: reply_line(&write_ok_response(id, &summary, wait_us, exec_us)),
                     status: "ok",
                 },
                 Ok(Err(e)) => WorkerReply {
-                    json: error_response(id, e.kind(), &proto::engine_error_text(&e)),
+                    line: reply_line(&error_response(id, e.kind(), &proto::engine_error_text(&e))),
                     status: "error",
                     rows: 0,
                 },
                 Err(_) => WorkerReply {
-                    json: error_response(id, "panic", "internal error: request execution panicked"),
+                    line: reply_line(&error_response(
+                        id,
+                        "panic",
+                        "internal error: request execution panicked",
+                    )),
                     status: "error",
                     rows: 0,
                 },

@@ -1,6 +1,7 @@
 //! Hostile-input tests for the hand-rolled JSON parser and the framing
 //! layer around it: depth bombs at the exact cap boundary, NUL bytes,
-//! over-long lines, and multibyte UTF-8 truncated at a frame boundary.
+//! over-long lines, a frame at the size cap, and multibyte UTF-8
+//! truncated at a frame boundary.
 //!
 //! Two layers are probed. The parser itself (`Json::parse`) must turn
 //! every attack into a `JsonError`, never a panic or a stack overflow.
@@ -10,9 +11,9 @@
 
 mod common;
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{status, Client};
 use obda_server::json::MAX_DEPTH;
@@ -174,6 +175,59 @@ fn overlong_line_errors_and_hangs_up_but_server_survives() {
         status(&Client::connect(addr).query("uni", "cq", Q, None)),
         "ok"
     );
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_megabyte_frame_gets_its_error_line_in_linear_time() {
+    // One frame just under the default `max_line_bytes`, whose long
+    // string is the `query` of an unknown endpoint: framing and parsing
+    // it is all the work there is. Each byte must be looked at a bounded
+    // number of times; re-scanning the buffer per read or re-validating
+    // the rest of the input per string character would make this frame
+    // cost tens of seconds of a connection thread's CPU.
+    let max_line_bytes = ServerConfig::default().max_line_bytes;
+    let server = small_server(max_line_bytes);
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let head = r#"{"endpoint":"nowhere","query":""#;
+    let tail = "\"}\n";
+    let mut frame = String::with_capacity(max_line_bytes);
+    frame.push_str(head);
+    // Mostly plain text, with an escape and a multibyte char in every
+    // 64 bytes so runs end and restart throughout.
+    let unit = format!("{}\\né", "x".repeat(60));
+    while frame.len() + unit.len() + tail.len() <= max_line_bytes {
+        frame.push_str(&unit);
+    }
+    frame.push_str(tail);
+    let started = Instant::now();
+    stream.write_all(frame.as_bytes()).expect("send frame");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("one error line within 5 s");
+    let elapsed = started.elapsed();
+    let resp = Json::parse(line.trim()).expect("error line is JSON");
+    assert_eq!(status(&resp), "error");
+    assert_eq!(
+        resp.get("kind").and_then(Json::as_str),
+        Some("unknown_endpoint"),
+        "{resp}"
+    );
+    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+    // The same connection answers a normal query afterwards.
+    let query = format!("{{\"endpoint\":\"uni\",\"lang\":\"cq\",\"query\":\"{Q}\"}}\n");
+    stream.write_all(query.as_bytes()).expect("send query");
+    line.clear();
+    reader.read_line(&mut line).expect("answer");
+    let resp = Json::parse(line.trim()).expect("answer is JSON");
+    assert_eq!(status(&resp), "ok", "{resp}");
     server.shutdown();
     server.join();
 }
