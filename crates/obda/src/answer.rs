@@ -11,6 +11,19 @@
 //! compare against; the NDL evaluator ([`crate::rewrite::ndl`]) shares
 //! the planner.
 //!
+//! Evaluation is under set semantics from the first join step. An
+//! *unbound* variable (one body occurrence, not in the head — the
+//! [`ConjunctiveQuery::is_unbound`] test) is never enumerated: an atom
+//! whose arguments are all unbound (`A(_)`, `p(_, _)`) is decided once
+//! at compile time (dropped when its extension is non-empty, otherwise
+//! the disjunct cannot match), and `p(x, _)`, `p(_, x)` and `u(x, _)`
+//! become unary steps over the keys of the role's or attribute's
+//! subject or object index — an existence check when `x` is bound, the
+//! distinct values of `x` when it is free. Each match appends its head
+//! bindings (interned ids and borrowed values) to one flat row buffer;
+//! after the last disjunct the rows are deduplicated on ids and only
+//! the distinct ones are named into [`Answers`].
+//!
 //! The engine runs off an [`AboxIndex`]: per-predicate fact lists plus
 //! secondary hash indexes (role facts by subject and by object,
 //! attribute facts by subject, concept membership sets), so a join step
@@ -62,6 +75,11 @@ pub(crate) struct ConceptFacts {
 
 /// Role extension: the pair list plus subject→objects and
 /// object→subjects hash indexes.
+///
+/// Invariant: every `by_subject`/`by_object` key has a non-empty
+/// bucket, so the key sets are exactly the role's domain and range.
+/// The UCQ kernel's key-set steps and the NDL view extents both read
+/// them that way; [`AboxIndex::remove_assertion`] keeps it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RoleFacts {
     pub(crate) pairs: Vec<(IndividualId, IndividualId)>,
@@ -69,7 +87,9 @@ pub(crate) struct RoleFacts {
     pub(crate) by_object: HashMap<IndividualId, Vec<IndividualId>>,
 }
 
-/// Attribute extension: the pair list plus a subject→values index.
+/// Attribute extension: the pair list plus a subject→values index,
+/// whose keys are exactly the attribute's domain (the same invariant
+/// as [`RoleFacts`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AttrFacts {
     pub(crate) pairs: Vec<(IndividualId, Value)>,
@@ -150,9 +170,10 @@ impl AboxIndex {
     /// Ordering inside fact lists is *not* preserved (`swap_remove`) —
     /// sound because every evaluation path lands answers in a sorted
     /// `BTreeSet`. Hash-bucket keys whose list empties are removed
-    /// outright: the NDL view extents derive `∃q` / attribute-domain
-    /// membership from `by_subject`/`by_object` *keys*, so a lingering
-    /// empty bucket would break the key-set = extension invariant.
+    /// outright: the UCQ kernel's existence checks and key-set steps
+    /// and the NDL view extents (`∃q` / attribute-domain membership)
+    /// all read `by_subject`/`by_object` *keys* as the extension, so a
+    /// lingering empty bucket would answer for a fact that is gone.
     pub(crate) fn remove_assertion(&mut self, a: &Assertion) {
         fn drop_from<K: std::hash::Hash + Eq, V: PartialEq>(
             map: &mut HashMap<K, Vec<V>>,
@@ -302,36 +323,91 @@ fn eval_ucq_parallel(u: &Ucq, abox: &Abox, index: &AboxIndex, threads: usize) ->
 
 /// The join kernel: evaluates `disjuncts` one by one, each compiled
 /// once into dense variable slots and a [`plan_join`] order, and
-/// returns their unioned answers with the join steps — the candidate
-/// facts the joins enumerated from scans and hash buckets (the
+/// returns their unioned answers with the join steps — the candidates
+/// the joins enumerated from scans, hash buckets and key sets (the
 /// `join_steps` counter of the `eval` span; membership probes of bound
-/// terms are not counted).
+/// terms and existence checks are not counted).
 pub(crate) fn eval_disjuncts<'a>(
     disjuncts: impl IntoIterator<Item = &'a ConjunctiveQuery>,
     abox: &Abox,
     index: &'a AboxIndex,
 ) -> (Answers, u64) {
-    let mut out = Answers::new();
+    let mut rows = Rows::default();
     let mut plan = Compiled::default();
     let mut slots = Vec::new();
     let mut join_steps = 0;
     for q in disjuncts {
         if compile_cq(&mut plan, q, abox, index) {
+            rows.start(plan.head.len(), abox);
             slots.clear();
             slots.resize(plan.num_slots(), None);
             let mut join = CqJoin {
-                abox,
                 steps: &plan.steps,
                 head: &plan.head,
                 slots: &mut slots,
-                out: &mut out,
+                rows: &mut rows,
                 tried: 0,
             };
             join.run(0);
             join_steps += join.tried;
         }
     }
-    (out, join_steps)
+    (rows.finish(abox), join_steps)
+}
+
+/// The head bindings of the matches found so far, one row of `width`
+/// bindings after another in one flat buffer. Rows stay interned ids
+/// and borrowed values until [`Rows::finish`] drops the duplicates and
+/// names only the distinct ones.
+#[derive(Default)]
+struct Rows<'a> {
+    width: usize,
+    /// Number of rows; a boolean head's rows have no bindings.
+    len: usize,
+    flat: Vec<Binding<'a>>,
+    /// Named rows of an earlier head arity (only a union whose heads
+    /// differ in arity leaves any here).
+    named: Answers,
+}
+
+impl<'a> Rows<'a> {
+    /// Readies the buffer for rows of `width` bindings; rows of another
+    /// width are named first.
+    fn start(&mut self, width: usize, abox: &Abox) {
+        if width != self.width {
+            self.flush(abox);
+            self.width = width;
+        }
+    }
+
+    /// Deduplicates the buffered rows on ids and names the distinct
+    /// ones into `named`. Individuals and their names are one to one,
+    /// so distinct rows stay distinct once named.
+    fn flush(&mut self, abox: &Abox) {
+        if self.len == 0 {
+            return;
+        }
+        let mut named: Answers = if self.width == 0 {
+            Answers::from([Vec::new()])
+        } else {
+            let mut distinct: Vec<&[Binding]> = self.flat.chunks_exact(self.width).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            distinct
+                .into_iter()
+                .map(|row| row.iter().map(|b| b.name(abox)).collect())
+                .collect()
+        };
+        self.named.append(&mut named);
+        self.flat.clear();
+        self.len = 0;
+    }
+
+    /// The distinct rows, named.
+    fn finish(mut self, abox: &Abox) -> Answers {
+        self.flush(abox);
+        self.named
+    }
 }
 
 /// The planner's view of one body atom.
@@ -422,11 +498,21 @@ pub(crate) fn plan_join(shapes: &[AtomShape], order: &mut Vec<usize>) {
 }
 
 /// A slot's value during a join: an individual, or a data value borrowed
-/// from the index or the query.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// from the index or the query. Ordered, so rows of bindings can be
+/// deduplicated before they are named.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Binding<'a> {
     Ind(IndividualId),
     Val(&'a Value),
+}
+
+impl Binding<'_> {
+    fn name(self, abox: &Abox) -> AnswerTerm {
+        match self {
+            Binding::Ind(i) => AnswerTerm::Iri(abox.individual_name(i).to_owned()),
+            Binding::Val(v) => AnswerTerm::Value(v.clone()),
+        }
+    }
 }
 
 /// A compiled argument of either kernel: a constant, as a value of the
@@ -458,9 +544,41 @@ impl<B: Copy> Arg<B> {
 /// One compiled atom, bound to its predicate's facts.
 #[derive(Debug, Clone, Copy)]
 enum Step<'a> {
-    Concept(&'a ConceptFacts, Arg<Binding<'a>>),
+    /// A concept atom, or a role or attribute atom with one unbound
+    /// argument, over the individuals its other argument may take.
+    Unary(Members<'a>, Arg<Binding<'a>>),
     Role(&'a RoleFacts, Arg<Binding<'a>>, Arg<Binding<'a>>),
     Attr(&'a AttrFacts, Arg<Binding<'a>>, Arg<Binding<'a>>),
+}
+
+/// The individuals a unary step ranges over.
+#[derive(Debug, Clone, Copy)]
+enum Members<'a> {
+    Concept(&'a ConceptFacts),
+    /// The keys of a role's `by_subject` or `by_object` index — its
+    /// domain or range, by the non-empty-bucket invariant of
+    /// [`RoleFacts`].
+    RoleKeys(&'a HashMap<IndividualId, Vec<IndividualId>>),
+    /// The keys of an attribute's `by_subject` index (its domain).
+    AttrKeys(&'a HashMap<IndividualId, Vec<Value>>),
+}
+
+impl Members<'_> {
+    fn contains(self, i: IndividualId) -> bool {
+        match self {
+            Members::Concept(f) => f.set.contains(&i),
+            Members::RoleKeys(m) => m.contains_key(&i),
+            Members::AttrKeys(m) => m.contains_key(&i),
+        }
+    }
+
+    fn len(self) -> usize {
+        match self {
+            Members::Concept(f) => f.members.len(),
+            Members::RoleKeys(m) => m.len(),
+            Members::AttrKeys(m) => m.len(),
+        }
+    }
 }
 
 /// A body compiled for one of the join kernels: dense variable slots,
@@ -543,12 +661,29 @@ impl<'a, S: Copy> Compiled<'a, S> {
 
 /// Compiles `q` for [`CqJoin`]; false when it cannot match (a predicate
 /// with no facts, a constant absent from the ABox, an unsafe head).
+///
+/// Unboundness belongs to the disjunct, so it is decided here: an atom
+/// whose arguments are all unbound is dropped when its extension is
+/// non-empty (and the disjunct fails otherwise), and an atom with one
+/// unbound argument becomes a unary step over the other argument's
+/// key set.
 fn compile_cq<'a>(
     c: &mut Compiled<'a, Step<'a>>,
     q: &'a ConjunctiveQuery,
     abox: &Abox,
     index: &'a AboxIndex,
 ) -> bool {
+    compile_body(c, q, abox, index).is_some() && c.finish(&q.head)
+}
+
+/// The body half of [`compile_cq`]; `None` when the disjunct cannot
+/// match.
+fn compile_body<'a>(
+    c: &mut Compiled<'a, Step<'a>>,
+    q: &'a ConjunctiveQuery,
+    abox: &Abox,
+    index: &'a AboxIndex,
+) -> Option<()> {
     // `None` when the term is a constant absent from the ABox.
     let arg = |c: &mut Compiled<'a, Step<'a>>, t: &'a Term| match t {
         Term::Const(name) => abox
@@ -556,49 +691,69 @@ fn compile_cq<'a>(
             .map(|i| Arg::Const(Binding::Ind(i))),
         Term::Var(v) => Some(Arg::Slot(c.slot(v))),
     };
+    let unary = |members: Members<'a>, t: Arg<Binding<'a>>| {
+        let shape = AtomShape::of(&[t.slot()], members.len());
+        (Step::Unary(members, t), shape)
+    };
+    // A body variable is unbound exactly when it occurs once, head
+    // occurrences counted: the test of [`ConjunctiveQuery::is_unbound`].
+    let occ = q.var_occurrences();
+    let unbound = |var: Option<&str>| var.is_some_and(|v| occ.get(v) == Some(&1));
     c.reset();
     for atom in &q.atoms {
         let (step, shape) = match atom {
             Atom::Concept(p, t) => {
-                let (Some(facts), Some(t)) = (index.concepts.get(&p.0), arg(c, t)) else {
-                    return false;
-                };
-                let shape = AtomShape::of(&[t.slot()], facts.members.len());
-                (Step::Concept(facts, t), shape)
+                let facts = index.concepts.get(&p.0)?;
+                match unbound(t.as_var()) {
+                    true if facts.members.is_empty() => return None,
+                    true => continue,
+                    false => unary(Members::Concept(facts), arg(c, t)?),
+                }
             }
             Atom::Role(p, s, o) => {
-                let (Some(facts), Some(s), Some(o)) = (index.roles.get(&p.0), arg(c, s), arg(c, o))
-                else {
-                    return false;
-                };
-                let shape = AtomShape::of(&[s.slot(), o.slot()], facts.pairs.len());
-                (Step::Role(facts, s, o), shape)
+                let facts = index.roles.get(&p.0)?;
+                match (unbound(s.as_var()), unbound(o.as_var())) {
+                    (true, true) if facts.pairs.is_empty() => return None,
+                    (true, true) => continue,
+                    (false, true) => unary(Members::RoleKeys(&facts.by_subject), arg(c, s)?),
+                    (true, false) => unary(Members::RoleKeys(&facts.by_object), arg(c, o)?),
+                    (false, false) => {
+                        let (s, o) = (arg(c, s)?, arg(c, o)?);
+                        let shape = AtomShape::of(&[s.slot(), o.slot()], facts.pairs.len());
+                        (Step::Role(facts, s, o), shape)
+                    }
+                }
             }
             Atom::Attribute(u, s, v) => {
-                let (Some(facts), Some(s)) = (index.attributes.get(&u.0), arg(c, s)) else {
-                    return false;
-                };
-                let v = match v {
-                    ValueTerm::Lit(l) => Arg::Const(Binding::Val(l)),
-                    ValueTerm::Var(x) => Arg::Slot(c.slot(x)),
-                };
-                let shape = AtomShape::of(&[s.slot(), v.slot()], facts.pairs.len());
-                (Step::Attr(facts, s, v), shape)
+                let facts = index.attributes.get(&u.0)?;
+                match (unbound(s.as_var()), unbound(v.as_var())) {
+                    (true, true) if facts.pairs.is_empty() => return None,
+                    (true, true) => continue,
+                    (false, true) => unary(Members::AttrKeys(&facts.by_subject), arg(c, s)?),
+                    _ => {
+                        let s = arg(c, s)?;
+                        let v = match v {
+                            ValueTerm::Lit(l) => Arg::Const(Binding::Val(l)),
+                            ValueTerm::Var(x) => Arg::Slot(c.slot(x)),
+                        };
+                        let shape = AtomShape::of(&[s.slot(), v.slot()], facts.pairs.len());
+                        (Step::Attr(facts, s, v), shape)
+                    }
+                }
             }
         };
         c.push(step, shape);
     }
-    c.finish(&q.head)
+    Some(())
 }
 
 /// One run of a compiled disjunct: a backtracking join over the planned
 /// steps, probing hash buckets for bound terms.
 struct CqJoin<'a, 'r> {
-    abox: &'r Abox,
     steps: &'r [Step<'a>],
     head: &'r [usize],
     slots: &'r mut [Option<Binding<'a>>],
-    out: &'r mut Answers,
+    rows: &'r mut Rows<'a>,
     tried: u64,
 }
 
@@ -610,19 +765,18 @@ impl<'a> CqJoin<'a, '_> {
         };
         let next = depth + 1;
         match step {
-            Step::Concept(facts, t) => match t.resolve(self.slots) {
+            Step::Unary(members, t) => match t.resolve(self.slots) {
                 Ok(Binding::Ind(i)) => {
-                    if facts.set.contains(&i) {
+                    if members.contains(i) {
                         self.run(next);
                     }
                 }
                 Ok(Binding::Val(_)) => {} // sort clash
-                Err(s) => {
-                    for &m in &facts.members {
-                        self.tried += 1;
-                        self.descend(s, Binding::Ind(m), next);
-                    }
-                }
+                Err(s) => match members {
+                    Members::Concept(f) => self.each(s, f.members.iter().copied(), next),
+                    Members::RoleKeys(m) => self.each(s, m.keys().copied(), next),
+                    Members::AttrKeys(m) => self.each(s, m.keys().copied(), next),
+                },
             },
             Step::Role(facts, s, o) => match (s.resolve(self.slots), o.resolve(self.slots)) {
                 (Ok(Binding::Val(_)), _) | (_, Ok(Binding::Val(_))) => {} // sort clash
@@ -678,6 +832,14 @@ impl<'a> CqJoin<'a, '_> {
         }
     }
 
+    /// Binds `slot` to each individual of `members` in turn.
+    fn each(&mut self, slot: usize, members: impl Iterator<Item = IndividualId>, next: usize) {
+        for m in members {
+            self.tried += 1;
+            self.descend(slot, Binding::Ind(m), next);
+        }
+    }
+
     fn set(&mut self, slot: usize, b: Option<Binding<'a>>) {
         if let Some(x) = self.slots.get_mut(slot) {
             *x = b;
@@ -704,18 +866,19 @@ impl<'a> CqJoin<'a, '_> {
         }
     }
 
+    /// Appends the head's bindings as one row.
     fn emit(&mut self) {
-        let mut tuple = Vec::with_capacity(self.head.len());
+        let start = self.rows.flat.len();
         for &h in self.head {
             match self.slots.get(h).copied().flatten() {
-                Some(Binding::Ind(i)) => {
-                    tuple.push(AnswerTerm::Iri(self.abox.individual_name(i).to_owned()))
+                Some(b) => self.rows.flat.push(b),
+                None => {
+                    self.rows.flat.truncate(start);
+                    return;
                 }
-                Some(Binding::Val(v)) => tuple.push(AnswerTerm::Value(v.clone())),
-                None => return,
             }
         }
-        self.out.insert(tuple);
+        self.rows.len += 1;
     }
 }
 
@@ -875,7 +1038,7 @@ mod tests {
         let u = sig.find_attribute("u").unwrap();
         ab.assert_attribute(u, "x2", Value::Int(5));
         // (query bodies, expected answers) — each body in every order.
-        let cases: [(&str, &[&str], &[&str]); 7] = [
+        let cases: &[(&str, &[&str], &[&str])] = &[
             // A repeated variable.
             ("q(x)", &["p(x, x)", "A(x)", "B(x)"], &["x2"]),
             // A constant absent from the ABox, joined and disconnected.
@@ -893,15 +1056,67 @@ mod tests {
             ("q(x)", &["A(x)", "u(y, x)"], &[]),
             ("q(y)", &["u(y, x)", "p(x, z)"], &[]),
             ("q(x)", &["u(x, x)", "A(x)"], &[]),
+            // Unbound variables (one occurrence, not in the head) in the
+            // object, subject and value positions.
+            ("q(x)", &["p(x, w)", "A(x)"], &["x1", "x2"]),
+            ("q(x)", &["p(w, x)", "A(x)"], &["x2"]),
+            ("q(x)", &["u(x, w)", "B(x)"], &["x2"]),
+            ("q(n)", &["u(w, n)"], &["5", "\"hi\""]),
+            ("q(x)", &["u(x, n)", "u(w, n)"], &["x1", "x2"]),
+            // Disconnected atoms whose arguments are all unbound.
+            ("q(x)", &["B(x)", "A(w)", "p(w1, w2)"], &["x2"]),
+            ("q(x)", &["B(x)", "u(w1, w2)"], &["x2"]),
+            // An unbound subject beside a literal.
+            ("q(x)", &["A(x)", "u(w, 5)"], &["x1", "x2"]),
+            ("q(x)", &["A(x)", "u(w, 7)"], &[]),
+            // Boolean queries: one empty tuple when anything matches.
+            ("q()", &["p(x, y)"], &[""]),
+            ("q()", &["p(x, y)", "u(y, 7)"], &[]),
         ];
         let index = AboxIndex::build(&ab);
-        for (head, body, want) in cases {
+        for &(head, body, want) in cases {
             for perm in permutations(body.len()) {
                 let atoms: Vec<&str> = perm.iter().map(|&i| body[i]).collect();
                 let text = format!("{head} :- {}", atoms.join(", "));
                 let q = parse_cq(&text, &sig).unwrap();
                 assert_eq!(names(&evaluate_cq_indexed(&q, &ab, &index)), want, "{text}");
             }
+        }
+        // A two-variable head whose rows repeat across disjuncts, at one
+        // and two threads.
+        let bodies: [&[&str]; 3] = [&["p(x, y)"], &["p(x, y)", "A(x)"], &["p(x, y)", "B(y)"]];
+        for perm in permutations(2) {
+            let disjuncts = bodies
+                .iter()
+                .map(|body| {
+                    let atoms: Vec<&str> =
+                        perm.iter().filter_map(|&i| body.get(i)).copied().collect();
+                    parse_cq(&format!("q(x, y) :- {}", atoms.join(", ")), &sig).unwrap()
+                })
+                .collect();
+            let ucq = Ucq { disjuncts };
+            for threads in [1, 2] {
+                let ans = evaluate_ucq_parallel(&ucq, &ab, &index, threads);
+                assert_eq!(names(&ans), ["x1,x2", "x2,x2"], "{threads} threads");
+            }
+        }
+        // Disjuncts whose heads differ in arity keep their own tuples.
+        let mixed = [
+            "q(x) :- B(x)",
+            "q(x, y) :- p(x, y)",
+            "q() :- A(x)",
+            "q(y) :- A(y)",
+        ];
+        let ucq = Ucq {
+            disjuncts: mixed.iter().map(|t| parse_cq(t, &sig).unwrap()).collect(),
+        };
+        for threads in [1, 2, 3] {
+            let ans = evaluate_ucq_parallel(&ucq, &ab, &index, threads);
+            assert_eq!(
+                names(&ans),
+                ["", "x1", "x1,x2", "x2", "x2,x2"],
+                "{threads} threads"
+            );
         }
     }
 
@@ -925,13 +1140,13 @@ mod tests {
         let mut plan = Compiled::default();
         assert!(compile_cq(&mut plan, q, abox, index));
         let mut slots = vec![None; plan.num_slots()];
-        let mut out = Answers::new();
+        let mut rows = Rows::default();
+        rows.start(plan.head.len(), abox);
         let mut join = CqJoin {
-            abox,
             steps: &plan.given,
             head: &plan.head,
             slots: &mut slots,
-            out: &mut out,
+            rows: &mut rows,
             tried: 0,
         };
         join.run(0);

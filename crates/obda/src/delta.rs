@@ -723,6 +723,7 @@ pub(crate) fn maintain_merged_memo(
 mod tests {
     use super::*;
     use obda_dllite::Tbox;
+    use std::collections::{BTreeMap, HashMap};
 
     fn sig3() -> Signature {
         let mut t = Tbox::default();
@@ -781,5 +782,137 @@ mod tests {
         assert_eq!(applied2.deleted.len(), 1);
         assert_eq!(index.num_facts(), 2);
         assert_eq!(index.num_facts(), AboxIndex::build(&abox).num_facts());
+    }
+
+    type Buckets<V> = BTreeMap<IndividualId, Vec<V>>;
+    /// A role's pairs, subject buckets and object buckets.
+    type RoleIndex = (
+        Vec<(IndividualId, IndividualId)>,
+        Buckets<IndividualId>,
+        Buckets<IndividualId>,
+    );
+    /// An attribute's pairs and subject buckets.
+    type AttrIndex = (Vec<(IndividualId, Value)>, Buckets<Value>);
+
+    /// Every predicate's facts and bucket contents, sorted; predicates
+    /// with nothing left are left out.
+    #[derive(Debug, PartialEq)]
+    struct Canonical {
+        concepts: BTreeMap<u32, Vec<IndividualId>>,
+        roles: BTreeMap<u32, RoleIndex>,
+        attributes: BTreeMap<u32, AttrIndex>,
+    }
+
+    fn sorted<T: Ord + Clone>(v: &[T]) -> Vec<T> {
+        let mut v = v.to_vec();
+        v.sort();
+        v
+    }
+
+    fn buckets<V: Ord + Clone>(m: &HashMap<IndividualId, Vec<V>>) -> Buckets<V> {
+        m.iter().map(|(k, v)| (*k, sorted(v))).collect()
+    }
+
+    fn canonical(ix: &AboxIndex) -> Canonical {
+        Canonical {
+            concepts: ix
+                .concepts
+                .iter()
+                .filter(|(_, f)| !f.members.is_empty() || !f.set.is_empty())
+                .map(|(c, f)| {
+                    assert_eq!(f.set.len(), f.members.len(), "concept {c}");
+                    assert!(f.members.iter().all(|m| f.set.contains(m)), "concept {c}");
+                    (*c, sorted(&f.members))
+                })
+                .collect(),
+            roles: ix
+                .roles
+                .iter()
+                .filter(|(_, f)| {
+                    !f.pairs.is_empty() || !f.by_subject.is_empty() || !f.by_object.is_empty()
+                })
+                .map(|(p, f)| {
+                    let b = (buckets(&f.by_subject), buckets(&f.by_object));
+                    (*p, (sorted(&f.pairs), b.0, b.1))
+                })
+                .collect(),
+            attributes: ix
+                .attributes
+                .iter()
+                .filter(|(_, f)| !f.pairs.is_empty() || !f.by_subject.is_empty())
+                .map(|(u, f)| (*u, (sorted(&f.pairs), buckets(&f.by_subject))))
+                .collect(),
+        }
+    }
+
+    /// The invariant the UCQ kernel's existence checks and key-set steps
+    /// rely on: after every batch of a churn stream through the delta
+    /// path, no bucket is empty and the patched index holds what a
+    /// rebuild from the same ABox holds.
+    #[test]
+    fn churned_index_keeps_nonempty_buckets_and_matches_a_rebuild() {
+        use obda_genont::{churn_stream, university_scenario, ChurnFact, ChurnOp};
+        let scenario = university_scenario(1, 42);
+        let db = crate::demo::load_database(&scenario).unwrap();
+        let mut abox =
+            obda_mapping::materialize(&crate::demo::build_mappings(&scenario), &db).unwrap();
+        let mut index = AboxIndex::build(&abox);
+        let statement = |f: &ChurnFact| match f {
+            ChurnFact::Concept {
+                concept,
+                individual,
+            } => DeltaStatement::unary(concept, individual),
+            ChurnFact::Role {
+                role,
+                subject,
+                object,
+            } => DeltaStatement::binary(role, subject, object),
+            ChurnFact::Attr {
+                attr,
+                individual,
+                text,
+            } => DeltaStatement::binary_value(attr, individual, Value::Text(text.clone())),
+        };
+        let (mut deleted, mut dropped_keys) = (0, 0);
+        for batch in churn_stream(1, 11, 240).chunks(6) {
+            let delta = batch.iter().fold(AboxDelta::new(), |d, op| match op {
+                ChurnOp::Insert(f) => d.insert(statement(f)),
+                ChurnOp::Delete(f) => d.delete(statement(f)),
+            });
+            let (ins, del) = resolve_delta(&scenario.tbox.sig, &delta).unwrap();
+            let applied = apply_to_store(&mut abox, &mut index, &ins, &del);
+            deleted += applied.deleted.len();
+            // Deletes that took a subject's last fact of a predicate.
+            dropped_keys += applied
+                .deleted
+                .iter()
+                .filter(|a| match a {
+                    Assertion::Role(p, s, _) => index
+                        .roles
+                        .get(&p.0)
+                        .is_none_or(|f| !f.by_subject.contains_key(s)),
+                    Assertion::Attribute(u, s, _) => index
+                        .attributes
+                        .get(&u.0)
+                        .is_none_or(|f| !f.by_subject.contains_key(s)),
+                    Assertion::Concept(..) => false,
+                })
+                .count();
+
+            for (p, f) in &index.roles {
+                let all = f.by_subject.values().chain(f.by_object.values());
+                assert!(all.into_iter().all(|b| !b.is_empty()), "role {p}");
+            }
+            for (u, f) in &index.attributes {
+                assert!(
+                    f.by_subject.values().all(|b| !b.is_empty()),
+                    "attribute {u}"
+                );
+            }
+            assert_eq!(canonical(&index), canonical(&AboxIndex::build(&abox)));
+        }
+        // The stream must actually delete, and empty buckets.
+        assert!(deleted > 20, "{deleted} facts deleted");
+        assert!(dropped_keys > 5, "{dropped_keys} buckets emptied");
     }
 }

@@ -38,6 +38,7 @@ pub mod config;
 pub mod endpoint;
 pub mod json;
 pub mod metrics;
+mod poll;
 pub mod proto;
 pub mod server;
 pub mod signal;

@@ -51,6 +51,7 @@ use crate::config::ServerConfig;
 use crate::endpoint::Endpoint;
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
+use crate::poll;
 use crate::proto::{
     self, error_response, ok_response, overloaded_response, parse_request, shutting_down_response,
     timeout_response, trace_response, write_ok_response, QueryRequest, Request, WriteRequest,
@@ -478,7 +479,9 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
                     shared.active_conns.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(TICK),
+            // Nothing pending: wait until a connection arrives, or a
+            // tick passes so shutdown is still noticed.
+            Err(e) if e.kind() == ErrorKind::WouldBlock => poll::wait_readable(&listener, TICK),
             Err(_) => std::thread::sleep(TICK),
         }
     }
