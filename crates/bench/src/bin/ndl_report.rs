@@ -10,10 +10,13 @@
 //! `--json FILE` appends one machine-readable record per row to a JSON
 //! array at FILE — the format the EXPERIMENTS A9 table is generated
 //! from (`BENCH_A9.json`).
+//!
+//! Both modes' answers, cold and warm, are compared for every row; the
+//! report exits 1, naming each disagreement on stderr, when any differ.
 
 use std::time::Instant;
 
-use mastro::{ndl_compile, perfect_ref, DataMode, RewritingMode};
+use mastro::{ndl_compile, perfect_ref, Answers, DataMode, RewritingMode};
 use obda_genont::{exp_chain, university_scenario};
 use obda_server::Json;
 use quonto::Classification;
@@ -31,6 +34,17 @@ struct Row {
     prune_capped: bool,
 }
 
+/// Records a disagreement between the two modes' answers to one query.
+fn compare(disagreements: &mut Vec<String>, what: &str, ucq: &Answers, ndl: &Answers) {
+    if ucq != ndl {
+        disagreements.push(format!(
+            "{what}: PerfectRef gave {} answers, NDL {}",
+            ucq.len(),
+            ndl.len()
+        ));
+    }
+}
+
 fn main() {
     let scale = std::env::args()
         .skip_while(|a| a != "--scale")
@@ -40,6 +54,7 @@ fn main() {
     let json_path = std::env::args().skip_while(|a| a != "--json").nth(1);
 
     let mut rows: Vec<Row> = Vec::new();
+    let mut disagreements: Vec<String> = Vec::new();
     let capped = obda_obs::registry().counter("rewrite_prune_capped");
 
     println!("A9 — UCQ (PerfectRef) vs NDL rewriting\n");
@@ -66,17 +81,23 @@ fn main() {
         let a_pr = pr.answer_cq(&q); // cold: populate rewrite cache
         let prune_capped = capped.get() > capped_before;
         let a_ndl = ndl.answer_cq(&q); // cold: populate memo
-        assert_eq!(a_pr, a_ndl, "exp_chain({depth},{branch}): modes disagree");
+        let preset = format!("exp_chain({depth},{branch})");
+        compare(&mut disagreements, &format!("{preset} cold"), &a_pr, &a_ndl);
         let t2 = Instant::now();
         let warm_pr = pr.answer_cq(&q);
         let ucq_answer = t2.elapsed();
         let t3 = Instant::now();
         let warm_ndl = ndl.answer_cq(&q);
         let ndl_answer = t3.elapsed();
-        assert_eq!(warm_pr, warm_ndl, "warm answers diverged");
+        compare(
+            &mut disagreements,
+            &format!("{preset} warm"),
+            &warm_pr,
+            &warm_ndl,
+        );
 
         rows.push(Row {
-            preset: format!("exp_chain({depth},{branch})"),
+            preset,
             query: "star".into(),
             ucq_disjuncts: ucq.len(),
             ndl_rules: prog.num_rules,
@@ -114,14 +135,20 @@ fn main() {
         let a_pr = pr_sys.answer(&qs.text).expect("answers");
         let prune_capped = capped.get() > capped_before;
         let a_ndl = ndl_sys.answer(&qs.text).expect("answers");
-        assert_eq!(a_pr, a_ndl, "{}: modes disagree", qs.name);
+        let what = format!("university(scale {scale}) {}", qs.name);
+        compare(&mut disagreements, &format!("{what} cold"), &a_pr, &a_ndl);
         let t2 = Instant::now();
         let warm_pr = pr_sys.answer(&qs.text).expect("answers");
         let ucq_answer = t2.elapsed();
         let t3 = Instant::now();
         let warm_ndl = ndl_sys.answer(&qs.text).expect("answers");
         let ndl_answer = t3.elapsed();
-        assert_eq!(warm_pr, warm_ndl, "{}: warm answers diverged", qs.name);
+        compare(
+            &mut disagreements,
+            &format!("{what} warm"),
+            &warm_pr,
+            &warm_ndl,
+        );
 
         rows.push(Row {
             preset: format!("university(scale {scale})"),
@@ -194,6 +221,13 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("ndl_report: appended {} records to {path}", rows.len());
+    }
+
+    if !disagreements.is_empty() {
+        for d in &disagreements {
+            eprintln!("answers differ: {d}");
+        }
+        std::process::exit(1);
     }
 }
 

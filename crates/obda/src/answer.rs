@@ -20,9 +20,10 @@
 //! become unary steps over the keys of the role's or attribute's
 //! subject or object index — an existence check when `x` is bound, the
 //! distinct values of `x` when it is free. Each match appends its head
-//! bindings (interned ids and borrowed values) to one flat row buffer;
-//! after the last disjunct the rows are deduplicated on ids and only
-//! the distinct ones are named into [`Answers`].
+//! bindings (interned ids and borrowed values) to one flat row buffer
+//! (`Rows`, shared with the NDL kernel); after the last disjunct the
+//! rows are deduplicated on ids and only the distinct ones are named
+//! into [`Answers`].
 //!
 //! The engine runs off an [`AboxIndex`]: per-predicate fact lists plus
 //! secondary hash indexes (role facts by subject and by object,
@@ -284,8 +285,8 @@ pub fn evaluate_ucq_parallel_traced(
     let guard = obda_obs::span!(ctx, "eval");
     guard.count("threads", threads.clamp(1, u.disjuncts.len().max(1)) as u64);
     guard.count("disjuncts", u.len() as u64);
-    let (answers, join_steps) = eval_ucq_parallel(u, abox, index, threads);
-    guard.count("join_steps", join_steps);
+    let (answers, work) = eval_ucq_parallel(u, abox, index, threads);
+    work.count_on(&guard);
     answers
 }
 
@@ -297,13 +298,18 @@ pub fn evaluate_ucq_parallel(u: &Ucq, abox: &Abox, index: &AboxIndex, threads: u
     eval_ucq_parallel(u, abox, index, threads).0
 }
 
-fn eval_ucq_parallel(u: &Ucq, abox: &Abox, index: &AboxIndex, threads: usize) -> (Answers, u64) {
+fn eval_ucq_parallel(
+    u: &Ucq,
+    abox: &Abox,
+    index: &AboxIndex,
+    threads: usize,
+) -> (Answers, JoinWork) {
     let shard_count = threads.clamp(1, u.disjuncts.len().max(1));
     if shard_count <= 1 {
         return eval_disjuncts(&u.disjuncts, abox, index);
     }
     let mut out = Answers::new();
-    let mut join_steps = 0;
+    let mut work = JoinWork::default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..shard_count)
             .map(|k| {
@@ -313,29 +319,52 @@ fn eval_ucq_parallel(u: &Ucq, abox: &Abox, index: &AboxIndex, threads: usize) ->
             .collect();
         for h in handles {
             // lint: allow(R1.expect, "join() only fails if the shard panicked; re-raising hands the panic to the serving layer's per-request catch_unwind instead of silently dropping answers")
-            let (answers, steps) = h.join().expect("UCQ evaluation shard panicked");
+            let (answers, w) = h.join().expect("UCQ evaluation shard panicked");
             out.extend(answers);
-            join_steps += steps;
+            work += w;
         }
     });
-    (out, join_steps)
+    (out, work)
+}
+
+/// The work counters of one kernel run, recorded on its `eval` span.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct JoinWork {
+    /// Candidates the joins enumerated from scans, hash buckets and key
+    /// sets (`join_steps`; membership probes of bound terms and
+    /// existence checks are not counted).
+    pub(crate) steps: u64,
+    /// Matches found, before duplicates are dropped (`rows`).
+    pub(crate) rows: u64,
+}
+
+impl JoinWork {
+    /// Records both counters on an `eval` span.
+    pub(crate) fn count_on(self, guard: &obda_obs::SpanGuard) {
+        guard.count("join_steps", self.steps);
+        guard.count("rows", self.rows);
+    }
+}
+
+impl std::ops::AddAssign for JoinWork {
+    fn add_assign(&mut self, other: JoinWork) {
+        self.steps += other.steps;
+        self.rows += other.rows;
+    }
 }
 
 /// The join kernel: evaluates `disjuncts` one by one, each compiled
 /// once into dense variable slots and a [`plan_join`] order, and
-/// returns their unioned answers with the join steps — the candidates
-/// the joins enumerated from scans, hash buckets and key sets (the
-/// `join_steps` counter of the `eval` span; membership probes of bound
-/// terms and existence checks are not counted).
+/// returns their unioned answers with the [`JoinWork`] done.
 pub(crate) fn eval_disjuncts<'a>(
     disjuncts: impl IntoIterator<Item = &'a ConjunctiveQuery>,
     abox: &Abox,
     index: &'a AboxIndex,
-) -> (Answers, u64) {
+) -> (Answers, JoinWork) {
     let mut rows = Rows::default();
     let mut plan = Compiled::default();
     let mut slots = Vec::new();
-    let mut join_steps = 0;
+    let mut steps = 0;
     for q in disjuncts {
         if compile_cq(&mut plan, q, abox, index) {
             rows.start(plan.head.len(), abox);
@@ -349,64 +378,110 @@ pub(crate) fn eval_disjuncts<'a>(
                 tried: 0,
             };
             join.run(0);
-            join_steps += join.tried;
+            steps += join.tried;
         }
     }
-    (rows.finish(abox), join_steps)
+    let (answers, rows) = rows.finish(abox);
+    (answers, JoinWork { steps, rows })
+}
+
+/// A binding the row buffer holds: ordered, so rows are deduplicated
+/// before they are named, and named into an [`AnswerTerm`] by reading
+/// `Names`.
+pub(crate) trait RowTerm: Copy + Ord {
+    /// What naming reads: the ABox for interned ids, nothing for terms
+    /// that already borrow their names.
+    type Names;
+
+    /// The answer term this binding names.
+    fn name(self, names: &Self::Names) -> AnswerTerm;
 }
 
 /// The head bindings of the matches found so far, one row of `width`
-/// bindings after another in one flat buffer. Rows stay interned ids
-/// and borrowed values until [`Rows::finish`] drops the duplicates and
-/// names only the distinct ones.
-#[derive(Default)]
-struct Rows<'a> {
+/// bindings after another in one flat buffer. Rows stay bindings
+/// (interned ids, or names borrowed from view extents) until
+/// [`Rows::finish`] drops the duplicates and names only the distinct
+/// ones. Both join kernels fill one.
+pub(crate) struct Rows<B> {
     width: usize,
-    /// Number of rows; a boolean head's rows have no bindings.
+    /// Number of buffered rows; a boolean head's rows have no bindings.
     len: usize,
-    flat: Vec<Binding<'a>>,
+    /// Rows appended since the buffer was made, duplicates included.
+    matches: u64,
+    flat: Vec<B>,
     /// Named rows of an earlier head arity (only a union whose heads
     /// differ in arity leaves any here).
     named: Answers,
 }
 
-impl<'a> Rows<'a> {
+impl<B> Default for Rows<B> {
+    fn default() -> Self {
+        Rows {
+            width: 0,
+            len: 0,
+            matches: 0,
+            flat: Vec::new(),
+            named: Answers::new(),
+        }
+    }
+}
+
+impl<B: RowTerm> Rows<B> {
     /// Readies the buffer for rows of `width` bindings; rows of another
     /// width are named first.
-    fn start(&mut self, width: usize, abox: &Abox) {
+    pub(crate) fn start(&mut self, width: usize, names: &B::Names) {
         if width != self.width {
-            self.flush(abox);
+            self.flush(names);
             self.width = width;
         }
     }
 
-    /// Deduplicates the buffered rows on ids and names the distinct
-    /// ones into `named`. Individuals and their names are one to one,
-    /// so distinct rows stay distinct once named.
-    fn flush(&mut self, abox: &Abox) {
+    /// Appends the bindings of the `head` slots as one row; a head slot
+    /// still free drops the row.
+    pub(crate) fn emit(&mut self, head: &[usize], slots: &[Option<B>]) {
+        let start = self.flat.len();
+        for &h in head {
+            match slots.get(h).copied().flatten() {
+                Some(b) => self.flat.push(b),
+                None => {
+                    self.flat.truncate(start);
+                    return;
+                }
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Deduplicates the buffered rows and names the distinct ones into
+    /// `named`. Bindings and their names are one to one, so distinct
+    /// rows stay distinct once named. When the bindings sort like their
+    /// names, the named rows arrive in order and `collect` bulk-builds
+    /// the set.
+    fn flush(&mut self, names: &B::Names) {
         if self.len == 0 {
             return;
         }
         let mut named: Answers = if self.width == 0 {
             Answers::from([Vec::new()])
         } else {
-            let mut distinct: Vec<&[Binding]> = self.flat.chunks_exact(self.width).collect();
+            let mut distinct: Vec<&[B]> = self.flat.chunks_exact(self.width).collect();
             distinct.sort_unstable();
             distinct.dedup();
             distinct
                 .into_iter()
-                .map(|row| row.iter().map(|b| b.name(abox)).collect())
+                .map(|row| row.iter().map(|b| b.name(names)).collect())
                 .collect()
         };
         self.named.append(&mut named);
         self.flat.clear();
+        self.matches += self.len as u64;
         self.len = 0;
     }
 
-    /// The distinct rows, named.
-    fn finish(mut self, abox: &Abox) -> Answers {
-        self.flush(abox);
-        self.named
+    /// The distinct rows, named, and the number of rows appended.
+    pub(crate) fn finish(mut self, names: &B::Names) -> (Answers, u64) {
+        self.flush(names);
+        (self.named, self.matches)
     }
 }
 
@@ -506,7 +581,9 @@ enum Binding<'a> {
     Val(&'a Value),
 }
 
-impl Binding<'_> {
+impl RowTerm for Binding<'_> {
+    type Names = Abox;
+
     fn name(self, abox: &Abox) -> AnswerTerm {
         match self {
             Binding::Ind(i) => AnswerTerm::Iri(abox.individual_name(i).to_owned()),
@@ -753,14 +830,14 @@ struct CqJoin<'a, 'r> {
     steps: &'r [Step<'a>],
     head: &'r [usize],
     slots: &'r mut [Option<Binding<'a>>],
-    rows: &'r mut Rows<'a>,
+    rows: &'r mut Rows<Binding<'a>>,
     tried: u64,
 }
 
 impl<'a> CqJoin<'a, '_> {
     fn run(&mut self, depth: usize) {
         let Some(&step) = self.steps.get(depth) else {
-            self.emit();
+            self.rows.emit(self.head, self.slots);
             return;
         };
         let next = depth + 1;
@@ -864,21 +941,6 @@ impl<'a> CqJoin<'a, '_> {
             Ok(Binding::Ind(_)) => {} // sort clash
             Err(k) => self.descend(k, Binding::Val(val), next),
         }
-    }
-
-    /// Appends the head's bindings as one row.
-    fn emit(&mut self) {
-        let start = self.rows.flat.len();
-        for &h in self.head {
-            match self.slots.get(h).copied().flatten() {
-                Some(b) => self.rows.flat.push(b),
-                None => {
-                    self.rows.flat.truncate(start);
-                    return;
-                }
-            }
-        }
-        self.rows.len += 1;
     }
 }
 

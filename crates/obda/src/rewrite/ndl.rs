@@ -27,7 +27,15 @@
 //!   [`eval_skeletons`] joins each skeleton over the extents: compiled
 //!   to slots and ordered by the UCQ evaluator's planner
 //!   ([`crate::answer`]), with extent sizes as the cost, then a
-//!   backtracking join that iterates extent buckets by reference;
+//!   backtracking join that iterates extent buckets by reference. The
+//!   join runs under set semantics, as the UCQ kernel does: each match
+//!   appends its head bindings to the shared row buffer as borrowed
+//!   names, and after the last skeleton the rows are sorted,
+//!   deduplicated and only then named; extents are name-sorted, so rows
+//!   mostly arrive in answer order already and the answer set is
+//!   bulk-built. A binary extent indexes its objects by IRI
+//!   ([`ViewExtent::by_object`]) and by value ([`ViewExtent::by_value`])
+//!   separately, so a bound-object probe borrows its key;
 //! * **virtual mode**: [`answer_ndl_virtual_traced`] compiles the whole
 //!   program into **one** SQL plan — each view extent is a
 //!   [`Plan::SharedScan`] (CTE-style `WITH v AS (...)`) over the union of
@@ -38,7 +46,7 @@
 //!
 //! Memo keying note: the memo key is the view predicate alone, not
 //! (predicate, binding pattern) — an extent carries its own secondary
-//! indexes (by-subject / by-object / membership set), so one
+//! indexes (by-subject / by-object / by-value / membership set), so one
 //! materialization serves every binding pattern that arises during the
 //! join. Invalidation is keyed on a [`DataEpoch`] — the pair of the
 //! TBox epoch and an ABox version: a TBox change or a wholesale ABox
@@ -46,7 +54,9 @@
 //! the incremental write path ([`crate::delta`]) *patches* memoized
 //! extents in place and restamps the memo at the new ABox version.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use obda_dllite::{Abox, AttributeId, BasicConcept, BasicRole, Value};
@@ -62,7 +72,9 @@ use obda_sqlstore::{
 use quonto::sync::lock_or_recover;
 use quonto::Classification;
 
-use crate::answer::{AboxIndex, AnswerTerm, Answers, Arg, AtomShape, Compiled};
+use crate::answer::{
+    AboxIndex, AnswerTerm, Answers, Arg, AtomShape, Compiled, JoinWork, RowTerm, Rows,
+};
 use crate::error::{ErrorPhase, ObdaError};
 use crate::query::{ConjunctiveQuery, Term, ValueTerm};
 use crate::rewrite::presto::{
@@ -79,6 +91,17 @@ pub enum ViewPred {
     Role(BasicRole),
     /// Attribute view `V_U(x, v)`.
     Attr(AttributeId),
+}
+
+impl ViewPred {
+    /// The view predicate a skeleton atom reads.
+    pub fn of(atom: &ViewAtom) -> ViewPred {
+        match atom {
+            ViewAtom::ConceptView(s, _) => ViewPred::Concept(*s),
+            ViewAtom::RoleView(r, _, _) => ViewPred::Role(*r),
+            ViewAtom::AttrView(u, _, _) => ViewPred::Attr(*u),
+        }
+    }
 }
 
 /// A view predicate plus its member rules (one rule per member).
@@ -181,11 +204,7 @@ pub(crate) fn ndl_compile_ebox(
     let mut preds: BTreeSet<ViewPred> = BTreeSet::new();
     for vq in &presto.queries {
         for atom in &vq.atoms {
-            preds.insert(match atom {
-                ViewAtom::ConceptView(s, _) => ViewPred::Concept(*s),
-                ViewAtom::RoleView(r, _, _) => ViewPred::Role(*r),
-                ViewAtom::AttrView(u, _, _) => ViewPred::Attr(*u),
-            });
+            preds.insert(ViewPred::of(atom));
         }
     }
     let views: Vec<ViewDef> = preds
@@ -258,6 +277,10 @@ pub(crate) fn ndl_compile_traced_ebox(
 /// extents (whose `IndividualId`s are shard-local) merge directly.
 /// Carries the same secondary indexes as [`AboxIndex`], so one extent
 /// serves every binding pattern.
+///
+/// Invariant: every `by_subject`, `by_object` and `by_value` key has a
+/// non-empty bucket (`remove_pair` drops emptied ones), so an extent
+/// patched in place equals the one `from_pairs` builds from its pairs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ViewExtent {
     /// Unary members (concept views), sorted and deduplicated.
@@ -267,11 +290,12 @@ pub struct ViewExtent {
     /// Binary pairs (role views: IRI/IRI; attribute views: IRI/value
     /// with the value in [`ExtTerm::Val`]), sorted and deduplicated.
     pub pairs: Vec<(String, ExtTerm)>,
-    /// Subject → objects index over `pairs`.
+    /// Subject → objects index over `pairs`, buckets sorted.
     pub by_subject: HashMap<String, Vec<ExtTerm>>,
-    /// Object → subjects index (role views only; values don't join on
-    /// the object side through this index).
-    pub by_object: HashMap<ExtTerm, Vec<String>>,
+    /// IRI object → subjects index (role views), buckets sorted.
+    pub by_object: HashMap<String, Vec<String>>,
+    /// Value → subjects index (attribute views), buckets sorted.
+    pub by_value: HashMap<Value, Vec<String>>,
 }
 
 /// Second component of a binary extent pair: an IRI or a data value.
@@ -281,6 +305,33 @@ pub enum ExtTerm {
     Iri(String),
     /// Attribute value.
     Val(Value),
+}
+
+/// Inserts `value` into the sorted bucket of `key`.
+fn insert_sorted<K: Hash + Eq, V: Ord>(map: &mut HashMap<K, Vec<V>>, key: K, value: V) {
+    let bucket = map.entry(key).or_default();
+    if let Err(at) = bucket.binary_search(&value) {
+        bucket.insert(at, value);
+    }
+}
+
+/// Removes `value` from the sorted bucket of `key`, dropping the key
+/// when its bucket empties.
+fn remove_sorted<K, Q, V, W>(map: &mut HashMap<K, Vec<V>>, key: &Q, value: &W)
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: Hash + Eq + ?Sized,
+    V: Borrow<W>,
+    W: Ord + ?Sized,
+{
+    if let Some(bucket) = map.get_mut(key) {
+        if let Ok(at) = bucket.binary_search_by(|x| x.borrow().cmp(value)) {
+            bucket.remove(at);
+        }
+        if bucket.is_empty() {
+            map.remove(key);
+        }
+    }
 }
 
 impl ViewExtent {
@@ -298,18 +349,18 @@ impl ViewExtent {
     pub(crate) fn from_pairs(mut pairs: Vec<(String, ExtTerm)>) -> ViewExtent {
         pairs.sort();
         pairs.dedup();
-        let mut by_subject: HashMap<String, Vec<ExtTerm>> = HashMap::new();
-        let mut by_object: HashMap<ExtTerm, Vec<String>> = HashMap::new();
+        let mut ext = ViewExtent::default();
+        // Pairs arrive sorted, so every bucket fills in order.
         for (s, o) in &pairs {
-            by_subject.entry(s.clone()).or_default().push(o.clone());
-            by_object.entry(o.clone()).or_default().push(s.clone());
+            ext.by_subject.entry(s.clone()).or_default().push(o.clone());
+            match o {
+                ExtTerm::Iri(n) => ext.by_object.entry(n.clone()).or_default(),
+                ExtTerm::Val(v) => ext.by_value.entry(v.clone()).or_default(),
+            }
+            .push(s.clone());
         }
-        ViewExtent {
-            pairs,
-            by_subject,
-            by_object,
-            ..ViewExtent::default()
-        }
+        ext.pairs = pairs;
+        ext
     }
 
     /// Adds one member in place (unary extents), keeping `members`
@@ -349,12 +400,11 @@ impl ViewExtent {
         };
         self.pairs.insert(pos, pair.clone());
         let (s, o) = pair;
-        let bucket = self.by_subject.entry(s.clone()).or_default();
-        let at = bucket.binary_search(&o).unwrap_or_else(|e| e);
-        bucket.insert(at, o.clone());
-        let bucket = self.by_object.entry(o).or_default();
-        let at = bucket.binary_search(&s).unwrap_or_else(|e| e);
-        bucket.insert(at, s);
+        match &o {
+            ExtTerm::Iri(n) => insert_sorted(&mut self.by_object, n.clone(), s.clone()),
+            ExtTerm::Val(v) => insert_sorted(&mut self.by_value, v.clone(), s.clone()),
+        }
+        insert_sorted(&mut self.by_subject, s, o);
     }
 
     /// Removes one pair in place, dropping emptied index buckets;
@@ -365,21 +415,10 @@ impl ViewExtent {
             .binary_search_by(|(ps, po)| ps.as_str().cmp(s).then_with(|| po.cmp(o)));
         let Ok(pos) = found else { return };
         self.pairs.remove(pos);
-        if let Some(bucket) = self.by_subject.get_mut(s) {
-            if let Ok(at) = bucket.binary_search(o) {
-                bucket.remove(at);
-            }
-            if bucket.is_empty() {
-                self.by_subject.remove(s);
-            }
-        }
-        if let Some(bucket) = self.by_object.get_mut(o) {
-            if let Ok(at) = bucket.binary_search_by(|x| x.as_str().cmp(s)) {
-                bucket.remove(at);
-            }
-            if bucket.is_empty() {
-                self.by_object.remove(o);
-            }
+        remove_sorted(&mut self.by_subject, s, o);
+        match o {
+            ExtTerm::Iri(n) => remove_sorted(&mut self.by_object, n.as_str(), s),
+            ExtTerm::Val(v) => remove_sorted(&mut self.by_value, v, s),
         }
     }
 
@@ -583,20 +622,18 @@ fn atom_args(atom: &ViewAtom) -> (ViewPred, Vec<SkArg<'_>>) {
             Term::Const(c) => SkArg::IriConst(c),
         }
     }
-    match atom {
-        ViewAtom::ConceptView(s, t) => (ViewPred::Concept(*s), vec![conv(t)]),
-        ViewAtom::RoleView(r, s, o) => (ViewPred::Role(*r), vec![conv(s), conv(o)]),
-        ViewAtom::AttrView(u, s, v) => (
-            ViewPred::Attr(*u),
-            vec![
-                conv(s),
-                match v {
-                    ValueTerm::Var(x) => SkArg::ValVar(x),
-                    ValueTerm::Lit(l) => SkArg::ValLit(l),
-                },
-            ],
-        ),
-    }
+    let args = match atom {
+        ViewAtom::ConceptView(_, t) => vec![conv(t)],
+        ViewAtom::RoleView(_, s, o) => vec![conv(s), conv(o)],
+        ViewAtom::AttrView(_, s, v) => vec![
+            conv(s),
+            match v {
+                ValueTerm::Var(x) => SkArg::ValVar(x),
+                ValueTerm::Lit(l) => SkArg::ValLit(l),
+            },
+        ],
+    };
+    (ViewPred::of(atom), args)
 }
 
 /// Evaluates the stratum-1 skeletons over materialized view extents,
@@ -610,38 +647,43 @@ pub fn eval_skeletons(
     join_skeletons(queries, extents).0
 }
 
-/// [`eval_skeletons`] plus the join steps: candidates enumerated from
-/// extent scans and buckets (the `join_steps` counter of the `eval`
-/// span; membership probes of bound terms are not counted).
+/// [`eval_skeletons`] plus the [`JoinWork`] done: the candidates
+/// enumerated from extent scans and buckets, and the matches
+/// before duplicates are dropped. Matches append borrowed names to one
+/// row buffer; after the last skeleton the rows are sorted, deduplicated
+/// and only then named.
 pub(crate) fn join_skeletons(
     queries: &[ViewQuery],
     extents: &HashMap<ViewPred, Arc<ViewExtent>>,
-) -> (Answers, u64) {
-    let mut out = Answers::new();
+) -> (Answers, JoinWork) {
+    let mut rows = Rows::default();
     let mut plan = Compiled::default();
     let mut slots = Vec::new();
-    let mut join_steps = 0;
+    let mut steps = 0;
     for vq in queries {
         if compile_skeleton(&mut plan, vq, extents) {
+            rows.start(plan.head.len(), &());
             slots.clear();
             slots.resize(plan.num_slots(), None);
             let mut join = SkeletonJoin {
                 steps: &plan.steps,
                 head: &plan.head,
                 slots: &mut slots,
-                out: &mut out,
+                rows: &mut rows,
                 tried: 0,
             };
             join.run(0);
-            join_steps += join.tried;
+            steps += join.tried;
         }
     }
-    (out, join_steps)
+    let (answers, rows) = rows.finish(&());
+    (answers, JoinWork { steps, rows })
 }
 
 /// A slot's value during a skeleton join, borrowed from an extent or
-/// the skeleton.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// the skeleton. Ordered like [`AnswerTerm`] (IRIs before values, each
+/// by name or value), so rows of bindings sort in answer order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Bound<'a> {
     Iri(&'a str),
     Val(&'a Value),
@@ -654,12 +696,15 @@ impl<'a> Bound<'a> {
             ExtTerm::Val(v) => Bound::Val(v),
         }
     }
+}
 
-    fn matches(self, t: &ExtTerm) -> bool {
-        match (self, t) {
-            (Bound::Iri(a), ExtTerm::Iri(b)) => a == b,
-            (Bound::Val(a), ExtTerm::Val(b)) => a == b,
-            _ => false,
+impl RowTerm for Bound<'_> {
+    type Names = ();
+
+    fn name(self, _: &()) -> AnswerTerm {
+        match self {
+            Bound::Iri(s) => AnswerTerm::Iri(s.to_owned()),
+            Bound::Val(v) => AnswerTerm::Value(v.clone()),
         }
     }
 }
@@ -684,22 +729,22 @@ fn compile_skeleton<'a>(
     };
     c.reset();
     for atom in &vq.atoms {
-        let (pred, s, o) = match atom {
-            ViewAtom::ConceptView(b, t) => (ViewPred::Concept(*b), iri(c, t), None),
-            ViewAtom::RoleView(r, s, o) => {
+        let (s, o) = match atom {
+            ViewAtom::ConceptView(_, t) => (iri(c, t), None),
+            ViewAtom::RoleView(_, s, o) => {
                 let s = iri(c, s);
-                (ViewPred::Role(*r), s, Some(iri(c, o)))
+                (s, Some(iri(c, o)))
             }
-            ViewAtom::AttrView(u, s, v) => {
+            ViewAtom::AttrView(_, s, v) => {
                 let s = iri(c, s);
                 let v = match v {
                     ValueTerm::Var(x) => Arg::Slot(c.slot(x)),
                     ValueTerm::Lit(l) => Arg::Const(Bound::Val(l)),
                 };
-                (ViewPred::Attr(*u), s, Some(v))
+                (s, Some(v))
             }
         };
-        let Some(ext) = extents.get(&pred) else {
+        let Some(ext) = extents.get(&ViewPred::of(atom)) else {
             return false;
         };
         match o {
@@ -719,14 +764,14 @@ struct SkeletonJoin<'a, 'r> {
     steps: &'r [Step<'a>],
     head: &'r [usize],
     slots: &'r mut [Option<Bound<'a>>],
-    out: &'r mut Answers,
+    rows: &'r mut Rows<Bound<'a>>,
     tried: u64,
 }
 
 impl<'a> SkeletonJoin<'a, '_> {
     fn run(&mut self, depth: usize) {
         let Some(&step) = self.steps.get(depth) else {
-            self.emit();
+            self.rows.emit(self.head, self.slots);
             return;
         };
         let next = depth + 1;
@@ -738,42 +783,34 @@ impl<'a> SkeletonJoin<'a, '_> {
                     }
                 }
                 Ok(Bound::Val(_)) => {} // sort clash
-                Err(s) => {
-                    for n in &ext.members {
-                        self.tried += 1;
-                        self.descend(s, Bound::Iri(n), next);
-                    }
-                }
+                Err(s) => self.each(s, ext.members.iter().map(|n| Bound::Iri(n)), next),
             },
             Step::Binary(ext, s, o) => match (s.resolve(self.slots), o.resolve(self.slots)) {
                 (Ok(Bound::Val(_)), _) => {} // sort clash
                 (Ok(Bound::Iri(sn)), Ok(ob)) => {
+                    // Buckets are sorted, and `Bound` orders like `ExtTerm`.
                     let objs = ext.by_subject.get(sn).map_or(&[][..], Vec::as_slice);
-                    if objs.iter().any(|e| ob.matches(e)) {
+                    if objs.binary_search_by(|e| Bound::of(e).cmp(&ob)).is_ok() {
                         self.run(next);
                     }
                 }
                 (Ok(Bound::Iri(sn)), Err(os)) => {
-                    for e in ext.by_subject.get(sn).map_or(&[][..], Vec::as_slice) {
-                        self.tried += 1;
-                        self.descend(os, Bound::of(e), next);
-                    }
+                    let objs = ext.by_subject.get(sn).map_or(&[][..], Vec::as_slice);
+                    self.each(os, objs.iter().map(Bound::of), next);
                 }
                 (Err(ss), Ok(ob)) => {
-                    let key = match ob {
-                        Bound::Iri(n) => ExtTerm::Iri(n.to_string()),
-                        Bound::Val(v) => ExtTerm::Val(v.clone()),
+                    let subjects = match ob {
+                        Bound::Iri(n) => ext.by_object.get(n),
+                        Bound::Val(v) => ext.by_value.get(v),
                     };
-                    for sn in ext.by_object.get(&key).map_or(&[][..], Vec::as_slice) {
-                        self.tried += 1;
-                        self.descend(ss, Bound::Iri(sn), next);
-                    }
+                    let subjects = subjects.map_or(&[][..], Vec::as_slice);
+                    self.each(ss, subjects.iter().map(|n| Bound::Iri(n)), next);
                 }
                 (Err(ss), Err(os)) => {
                     for (sn, e) in &ext.pairs {
                         self.tried += 1;
                         if ss == os {
-                            if Bound::Iri(sn).matches(e) {
+                            if Bound::of(e) == Bound::Iri(sn) {
                                 self.descend(ss, Bound::Iri(sn), next);
                             }
                         } else {
@@ -784,6 +821,14 @@ impl<'a> SkeletonJoin<'a, '_> {
                     }
                 }
             },
+        }
+    }
+
+    /// Binds `slot` to each of `terms` in turn.
+    fn each(&mut self, slot: usize, terms: impl Iterator<Item = Bound<'a>>, next: usize) {
+        for b in terms {
+            self.tried += 1;
+            self.descend(slot, b, next);
         }
     }
 
@@ -798,18 +843,6 @@ impl<'a> SkeletonJoin<'a, '_> {
         self.set(slot, Some(b));
         self.run(next);
         self.set(slot, None);
-    }
-
-    fn emit(&mut self) {
-        let mut tuple = Vec::with_capacity(self.head.len());
-        for &h in self.head {
-            match self.slots.get(h).copied().flatten() {
-                Some(Bound::Iri(s)) => tuple.push(AnswerTerm::Iri(s.to_string())),
-                Some(Bound::Val(v)) => tuple.push(AnswerTerm::Value(v.clone())),
-                None => return,
-            }
-        }
-        self.out.insert(tuple);
     }
 }
 
@@ -841,8 +874,8 @@ pub fn answer_ndl_indexed_traced(
         );
         extents.insert(def.pred(), ext);
     }
-    let (answers, join_steps) = join_skeletons(&prog.queries, &extents);
-    guard.count("join_steps", join_steps);
+    let (answers, work) = join_skeletons(&prog.queries, &extents);
+    work.count_on(&guard);
     answers
 }
 
@@ -1148,4 +1181,144 @@ pub fn answer_ndl_virtual_traced(
         answers.insert(tuple);
     }
     Ok(answers)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use obda_dllite::RoleId;
+
+    fn iri(n: &str) -> ExtTerm {
+        ExtTerm::Iri(n.to_owned())
+    }
+
+    fn text(s: &str) -> ExtTerm {
+        ExtTerm::Val(Value::Text(s.to_owned()))
+    }
+
+    /// A role extent and an attribute extent patched pair by pair stay
+    /// equal, every index map included, to a from-scratch build of the
+    /// pairs they hold: the write path's in-place maintenance relies on
+    /// it.
+    #[test]
+    fn patched_extents_equal_a_rebuild_of_their_pairs() {
+        let role = [
+            ("a", iri("b")),
+            ("a", iri("c")),
+            ("b", iri("b")),
+            ("c", iri("b")),
+        ];
+        let attr = [
+            ("a", text("x")),
+            ("a", ExtTerm::Val(Value::Int(3))),
+            ("b", text("x")),
+            ("c", ExtTerm::Val(Value::Int(3))),
+        ];
+        for universe in [&role, &attr] {
+            // Every subset of the pairs in Gray-code order, so each step
+            // adds or removes one pair; then a duplicate add and an absent
+            // remove, which must both be no-ops.
+            let mut ext = ViewExtent::default();
+            let mut held: Vec<(String, ExtTerm)> = Vec::new();
+            let n = universe.len();
+            for k in 1..(1usize << n) {
+                let bit = k.trailing_zeros() as usize;
+                let (s, o) = &universe[bit];
+                let pair = ((*s).to_owned(), o.clone());
+                match held.iter().position(|p| *p == pair) {
+                    Some(at) => {
+                        held.remove(at);
+                        ext.remove_pair(s, o);
+                    }
+                    None => {
+                        held.push(pair.clone());
+                        ext.add_pair(pair.0, pair.1);
+                    }
+                }
+                assert_eq!(ext, ViewExtent::from_pairs(held.clone()), "after step {k}");
+                if let Some((s, o)) = held.first().cloned() {
+                    ext.add_pair(s, o);
+                }
+                ext.remove_pair("absent", &iri("b"));
+                assert_eq!(ext, ViewExtent::from_pairs(held.clone()), "no-ops at {k}");
+            }
+            // Emptied buckets are gone, so the key sets stay exact.
+            for (s, o) in held.clone() {
+                ext.remove_pair(&s, &o);
+            }
+            assert_eq!(ext, ViewExtent::default());
+        }
+    }
+
+    /// `q(x) :- V(x, t)` over one extent, `t` an IRI constant or a
+    /// literal.
+    fn lookup(pred: &ViewPred, object: &ExtTerm, ext: ViewExtent) -> Vec<String> {
+        let x = Term::Var("x".to_owned());
+        let atom = match (pred, object) {
+            (ViewPred::Role(r), ExtTerm::Iri(n)) => {
+                ViewAtom::RoleView(*r, x, Term::Const(n.clone()))
+            }
+            (ViewPred::Attr(u), ExtTerm::Val(v)) => {
+                ViewAtom::AttrView(*u, x, ValueTerm::Lit(v.clone()))
+            }
+            _ => unreachable!("lookups pair roles with IRIs and attributes with values"),
+        };
+        let vq = ViewQuery {
+            head: vec!["x".to_owned()],
+            atoms: vec![atom],
+        };
+        let extents = HashMap::from([(pred.clone(), Arc::new(ext))]);
+        eval_skeletons(std::slice::from_ref(&vq), &extents)
+            .into_iter()
+            .flat_map(|row| row.into_iter().map(|t| t.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn object_bound_lookups_answer_alike_before_and_after_patching() {
+        let role = ViewPred::Role(BasicRole::Direct(RoleId(0)));
+        let attr = ViewPred::Attr(AttributeId(0));
+        let cases = [
+            (
+                role,
+                iri("b"),
+                vec![("a", iri("b")), ("c", iri("b")), ("c", iri("d"))],
+            ),
+            (
+                attr,
+                text("Ann"),
+                vec![("p1", text("Ann")), ("p2", text("Bo")), ("p3", text("Ann"))],
+            ),
+        ];
+        for (pred, object, pairs) in cases {
+            let pairs: Vec<(String, ExtTerm)> =
+                pairs.into_iter().map(|(s, o)| (s.to_owned(), o)).collect();
+            let mut ext = ViewExtent::from_pairs(pairs.clone());
+            let want = |held: &[(String, ExtTerm)]| -> Vec<String> {
+                let mut out: Vec<String> = held
+                    .iter()
+                    .filter(|(_, o)| *o == object)
+                    .map(|(s, _)| s.clone())
+                    .collect();
+                out.sort();
+                out
+            };
+            assert_eq!(lookup(&pred, &object, ext.clone()), want(&pairs));
+            // Patch: drop the first matching subject, add a new one and an
+            // unrelated pair.
+            let mut held = pairs.clone();
+            let gone = held.remove(0);
+            ext.remove_pair(&gone.0, &gone.1);
+            for (s, o) in [("b", object.clone()), ("z", pairs[1].1.clone())] {
+                held.push((s.to_owned(), o.clone()));
+                ext.add_pair(s.to_owned(), o);
+            }
+            let patched = lookup(&pred, &object, ext.clone());
+            assert_eq!(patched, want(&held));
+            assert_eq!(
+                patched,
+                lookup(&pred, &object, ViewExtent::from_pairs(held))
+            );
+        }
+    }
 }

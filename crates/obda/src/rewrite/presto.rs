@@ -27,7 +27,7 @@ use std::collections::{HashSet, VecDeque};
 use obda_dllite::{AttributeId, BasicConcept, BasicRole, RoleId};
 use quonto::{Classification, NodeId, NodeKind};
 
-use crate::answer::{eval_disjuncts, AboxIndex};
+use crate::answer::{eval_disjuncts, AboxIndex, JoinWork};
 use crate::query::{Atom, ConjunctiveQuery, Term, ValueTerm};
 
 /// An atom over a *view* of the classified ontology.
@@ -409,110 +409,45 @@ fn maximal_common_nodes(cls: &Classification, n1: NodeId, n2: NodeId) -> Vec<Nod
 fn intersect_pair(q: &ViewQuery, i: usize, j: usize, cls: &Classification) -> Vec<ViewQuery> {
     let g = cls.graph();
     let mut results = Vec::new();
-    let mut emit = |replacement: ViewAtom, subst: std::collections::HashMap<String, Term>| {
-        let term = |t: &Term| match t {
-            Term::Var(v) => subst.get(v).cloned().unwrap_or_else(|| t.clone()),
-            Term::Const(_) => t.clone(),
-        };
-        let map_atom = |a: &ViewAtom| match a {
-            ViewAtom::ConceptView(s, t) => ViewAtom::ConceptView(*s, term(t)),
-            ViewAtom::RoleView(p, s, o) => ViewAtom::RoleView(*p, term(s), term(o)),
-            ViewAtom::AttrView(u, s, v) => {
-                let v = match v {
-                    ValueTerm::Var(x) => match subst.get(x) {
-                        Some(Term::Var(w)) => ValueTerm::Var(w.clone()),
-                        _ => v.clone(),
-                    },
-                    ValueTerm::Lit(_) => v.clone(),
-                };
-                ViewAtom::AttrView(*u, term(s), v)
-            }
-        };
-        let mut atoms: Vec<ViewAtom> = q
-            .atoms
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| *k != i && *k != j)
-            .map(|(_, a)| map_atom(a))
-            .collect();
-        atoms.push(map_atom(&replacement));
-        results.push(ViewQuery {
-            head: q.head.clone(),
-            atoms,
-        });
+    let mut emit = |replacement: ViewAtom, u: &Unifier| {
+        results.extend(u.apply(q, &[i, j], Some(replacement)));
     };
-    let unify_terms =
-        |pairs: &[(&Term, &Term)]| -> Option<std::collections::HashMap<String, Term>> {
-            let mut subst: std::collections::HashMap<String, Term> =
-                std::collections::HashMap::new();
-            for (t1, t2) in pairs {
-                let r1 = match t1 {
-                    Term::Var(v) => subst
-                        .get(v.as_str())
-                        .cloned()
-                        .unwrap_or_else(|| (*t1).clone()),
-                    _ => (*t1).clone(),
-                };
-                let r2 = match t2 {
-                    Term::Var(v) => subst
-                        .get(v.as_str())
-                        .cloned()
-                        .unwrap_or_else(|| (*t2).clone()),
-                    _ => (*t2).clone(),
-                };
-                match (r1, r2) {
-                    (Term::Var(x), Term::Var(y)) if x == y => {}
-                    (Term::Var(x), Term::Var(y)) => {
-                        if q.head.contains(&x) {
-                            subst.insert(y, Term::Var(x));
-                        } else {
-                            subst.insert(x, Term::Var(y));
-                        }
-                    }
-                    (Term::Var(x), c @ Term::Const(_)) | (c @ Term::Const(_), Term::Var(x)) => {
-                        subst.insert(x, c);
-                    }
-                    (Term::Const(a), Term::Const(b)) => {
-                        if a != b {
-                            return None;
-                        }
-                    }
-                }
-            }
-            Some(subst)
-        };
+    let unify_terms = |pairs: &[(&Term, &Term)]| -> Option<Unifier> {
+        let mut u = Unifier::default();
+        pairs
+            .iter()
+            .all(|(t1, t2)| u.unify(t1, t2, &q.head))
+            .then_some(u)
+    };
     // lint: allow(R1.index, "the only caller iterates i < j < q.atoms.len() (rewrite driver loop)")
     match (&q.atoms[i], &q.atoms[j]) {
         (ViewAtom::ConceptView(s1, t1), ViewAtom::ConceptView(s2, t2)) if s1 != s2 => {
-            if let Some(subst) = unify_terms(&[(t1, t2)]) {
+            if let Some(u) = unify_terms(&[(t1, t2)]) {
                 for m in maximal_common_nodes(cls, g.concept_node(*s1), g.concept_node(*s2)) {
-                    emit(
-                        ViewAtom::ConceptView(g.node_as_concept(m), t1.clone()),
-                        subst.clone(),
-                    );
+                    emit(ViewAtom::ConceptView(g.node_as_concept(m), t1.clone()), &u);
                 }
             }
         }
         (ViewAtom::RoleView(p1, s1, o1), ViewAtom::RoleView(p2, s2, o2)) => {
             // Same orientation.
             if p1 != p2 {
-                if let Some(subst) = unify_terms(&[(s1, s2), (o1, o2)]) {
+                if let Some(u) = unify_terms(&[(s1, s2), (o1, o2)]) {
                     for m in maximal_common_nodes(cls, g.role_node(*p1), g.role_node(*p2)) {
                         emit(
                             ViewAtom::RoleView(g.node_as_role(m), s1.clone(), o1.clone()),
-                            subst.clone(),
+                            &u,
                         );
                     }
                 }
             }
             // Opposite orientation: members of p1 ∩ p2⁻.
             if *p1 != p2.inverse() {
-                if let Some(subst) = unify_terms(&[(s1, o2), (o1, s2)]) {
+                if let Some(u) = unify_terms(&[(s1, o2), (o1, s2)]) {
                     for m in maximal_common_nodes(cls, g.role_node(*p1), g.role_node(p2.inverse()))
                     {
                         emit(
                             ViewAtom::RoleView(g.node_as_role(m), s1.clone(), o1.clone()),
-                            subst.clone(),
+                            &u,
                         );
                     }
                 }
@@ -520,19 +455,21 @@ fn intersect_pair(q: &ViewQuery, i: usize, j: usize, cls: &Classification) -> Ve
         }
         (ViewAtom::AttrView(u1, s1, v1), ViewAtom::AttrView(u2, s2, v2)) if u1 != u2 => {
             let values_compatible = match (v1, v2) {
+                (ValueTerm::Var(_), ValueTerm::Var(_)) => true,
                 (ValueTerm::Lit(a), ValueTerm::Lit(b)) => a == b,
-                _ => true,
+                // A variable against a literal: the merged atom would
+                // have to bind the variable to the literal, and it
+                // keeps no unbound value for a collapse to use.
+                _ => false,
             };
             if values_compatible {
-                if let Some(mut subst) = unify_terms(&[(s1, s2)]) {
+                if let Some(mut u) = unify_terms(&[(s1, s2)]) {
                     if let (ValueTerm::Var(x), ValueTerm::Var(y)) = (v1, v2) {
-                        if x != y {
-                            subst.insert(x.clone(), Term::Var(y.clone()));
-                        }
+                        u.unify(&Term::Var(x.clone()), &Term::Var(y.clone()), &q.head);
                     }
                     for m in maximal_common_nodes(cls, g.attr_node(*u1), g.attr_node(*u2)) {
                         if let NodeKind::Attr(w) = g.node_kind(m) {
-                            emit(ViewAtom::AttrView(w, s1.clone(), v1.clone()), subst.clone());
+                            emit(ViewAtom::AttrView(w, s1.clone(), v1.clone()), &u);
                         }
                     }
                 }
@@ -623,75 +560,115 @@ fn push(
     }
 }
 
-/// Unifies two same-target atoms by mapping the second's variables to the
-/// first's (keeping head variables as representatives), or `None`.
+/// Unifies two same-target atoms into one (keeping head variables as
+/// representatives), or `None`.
 fn reduce_pair(q: &ViewQuery, i: usize, j: usize) -> Option<ViewQuery> {
-    use std::collections::HashMap;
-    let mut subst: HashMap<String, Term> = HashMap::new();
-    let bind = |t1: &Term, t2: &Term, head: &[String], subst: &mut HashMap<String, Term>| -> bool {
-        match (t1, t2) {
-            (Term::Var(x), Term::Var(y)) if x == y => true,
-            (Term::Var(x), Term::Var(y)) => {
-                if head.iter().any(|h| h == x) {
-                    subst.insert(y.clone(), Term::Var(x.clone()));
-                } else {
-                    subst.insert(x.clone(), Term::Var(y.clone()));
-                }
-                true
-            }
-            (Term::Var(x), c @ Term::Const(_)) | (c @ Term::Const(_), Term::Var(x)) => {
-                subst.insert(x.clone(), c.clone());
-                true
-            }
-            (Term::Const(a), Term::Const(b)) => a == b,
-        }
-    };
+    let mut u = Unifier::default();
     // lint: allow(R1.index, "the only caller iterates i < j < q.atoms.len() (rewrite driver loop)")
     let ok = match (&q.atoms[i], &q.atoms[j]) {
         (ViewAtom::ConceptView(s1, t1), ViewAtom::ConceptView(s2, t2)) if s1 == s2 => {
-            bind(t1, t2, &q.head, &mut subst)
+            u.unify(t1, t2, &q.head)
         }
         (ViewAtom::RoleView(p1, s1, o1), ViewAtom::RoleView(p2, s2, o2)) if p1 == p2 => {
-            bind(s1, s2, &q.head, &mut subst) && bind(o1, o2, &q.head, &mut subst)
+            u.unify(s1, s2, &q.head) && u.unify(o1, o2, &q.head)
         }
         (ViewAtom::AttrView(u1, s1, v1), ViewAtom::AttrView(u2, s2, v2)) if u1 == u2 => {
             let values_ok = match (v1, v2) {
                 (ValueTerm::Lit(a), ValueTerm::Lit(b)) => a == b,
                 _ => true,
             };
-            values_ok && bind(s1, s2, &q.head, &mut subst)
+            values_ok && u.unify(s1, s2, &q.head)
         }
         _ => false,
     };
-    if !ok || subst.is_empty() {
+    if !ok || u.0.is_empty() {
         return None;
     }
-    let term = |t: &Term| match t {
-        Term::Var(v) => subst.get(v).cloned().unwrap_or_else(|| t.clone()),
-        Term::Const(_) => t.clone(),
-    };
-    let atoms = q
-        .atoms
-        .iter()
-        .map(|a| match a {
-            ViewAtom::ConceptView(s, t) => ViewAtom::ConceptView(*s, term(t)),
-            ViewAtom::RoleView(p, s, o) => ViewAtom::RoleView(*p, term(s), term(o)),
+    u.apply(q, &[], None)
+}
+
+/// A unifier of view-atom arguments (value variables included, as
+/// variables). It is built one binding at a time, each binding a
+/// variable that is not yet bound to a term that is fully resolved, so
+/// following bindings always ends and applying it once is idempotent.
+#[derive(Debug, Clone, Default)]
+struct Unifier(std::collections::HashMap<String, Term>);
+
+impl Unifier {
+    /// `t` with every binding applied.
+    fn term(&self, t: &Term) -> Term {
+        let mut cur = t;
+        while let Term::Var(v) = cur {
+            match self.0.get(v) {
+                Some(next) => cur = next,
+                None => break,
+            }
+        }
+        cur.clone()
+    }
+
+    /// Unifies `t1` and `t2`, keeping a head variable as the
+    /// representative; false on two distinct constants.
+    fn unify(&mut self, t1: &Term, t2: &Term, head: &[String]) -> bool {
+        match (self.term(t1), self.term(t2)) {
+            (Term::Var(x), Term::Var(y)) if x == y => true,
+            (Term::Var(x), Term::Var(y)) => {
+                if head.contains(&x) {
+                    self.0.insert(y, Term::Var(x));
+                } else {
+                    self.0.insert(x, Term::Var(y));
+                }
+                true
+            }
+            (Term::Var(x), c @ Term::Const(_)) | (c @ Term::Const(_), Term::Var(x)) => {
+                self.0.insert(x, c);
+                true
+            }
+            (Term::Const(a), Term::Const(b)) => a == b,
+        }
+    }
+
+    fn atom(&self, a: &ViewAtom) -> ViewAtom {
+        match a {
+            ViewAtom::ConceptView(s, t) => ViewAtom::ConceptView(*s, self.term(t)),
+            ViewAtom::RoleView(p, s, o) => ViewAtom::RoleView(*p, self.term(s), self.term(o)),
             ViewAtom::AttrView(u, s, v) => {
                 let v = match v {
-                    ValueTerm::Var(x) => match subst.get(x) {
-                        Some(Term::Var(w)) => ValueTerm::Var(w.clone()),
-                        _ => v.clone(),
+                    ValueTerm::Var(x) => match self.term(&Term::Var(x.clone())) {
+                        Term::Var(w) => ValueTerm::Var(w),
+                        Term::Const(_) => v.clone(),
                     },
                     ValueTerm::Lit(_) => v.clone(),
                 };
-                ViewAtom::AttrView(*u, term(s), v)
+                ViewAtom::AttrView(*u, self.term(s), v)
             }
-        })
-        .collect();
-    Some(ViewQuery {
-        head: q.head.clone(),
-        atoms,
-    })
+        }
+    }
+
+    /// `q` under the unifier, with the atoms at `drop` replaced by
+    /// `add`. Unifying two head variables renames one to the other in
+    /// the head too, as PerfectRef's reduce does (`q(x, y) :- p(z, x),
+    /// p(z, y)` reduces to `q(x, x) :- p(z, x)`). `None` when a head
+    /// variable is bound to a constant: the skeleton would be unsafe,
+    /// and the unreduced one keeps its answers.
+    fn apply(&self, q: &ViewQuery, drop: &[usize], add: Option<ViewAtom>) -> Option<ViewQuery> {
+        let head = q
+            .head
+            .iter()
+            .map(|h| match self.term(&Term::Var(h.clone())) {
+                Term::Var(w) => Some(w),
+                Term::Const(_) => None,
+            })
+            .collect::<Option<Vec<String>>>()?;
+        let kept = q
+            .atoms
+            .iter()
+            .enumerate()
+            .filter(|(k, _)| !drop.contains(k))
+            .map(|(_, a)| a);
+        let atoms = kept.chain(&add).map(|a| self.atom(a)).collect();
+        Some(ViewQuery { head, atoms })
+    }
 }
 
 /// Expands a view target into the basic expressions it covers: every
@@ -764,14 +741,14 @@ pub fn evaluate_view_query(
 /// member pruning: members with provably empty or subsumed asserted
 /// extensions are skipped before the cross-product is built (counted
 /// `ebox_pruned_views`), which the evaluation-level containments keep
-/// answer-preserving. Returns the answers and the join steps tried.
+/// answer-preserving. Returns the answers and the join work done.
 pub(crate) fn evaluate_view_query_ebox(
     vq: &ViewQuery,
     cls: &Classification,
     abox: &obda_dllite::Abox,
     index: &AboxIndex,
     ebox: Option<&obda_mapping::Ebox>,
-) -> (crate::answer::Answers, u64) {
+) -> (crate::answer::Answers, JoinWork) {
     use crate::rewrite::eboxprune::{
         prune_attr_members, prune_concept_members, prune_role_members,
     };
@@ -915,6 +892,36 @@ mod tests {
         assert!(has_g_view, "{rw:?}");
         let members = concept_view_members(&cls, BasicConcept::Atomic(g_id));
         assert_eq!(members.len(), 2);
+    }
+
+    /// Two attribute atoms on one subject, one value a variable and the
+    /// other a literal, are not intersected: the merged atom would drop
+    /// the literal or the variable.
+    #[test]
+    fn attribute_intersection_keeps_variables_and_literals() {
+        use crate::answer::AnswerTerm;
+        let t = parse_tbox("attribute u0 u1\nu0 [= u1").unwrap();
+        let cls = Classification::classify(&t);
+        let ab = obda_dllite::parse_abox("u0(a, 7)\nu0(b, 5)", &t.sig).unwrap();
+        let b = || AnswerTerm::Iri("b".to_owned());
+        let five = AnswerTerm::Value(obda_dllite::Value::Int(5));
+        for (text, want) in [
+            ("q(s) :- u0(s, x), u1(s, 5)", vec![b()]),
+            ("q(s, y) :- u0(s, 5), u1(s, y)", vec![b(), five]),
+        ] {
+            let q = parse_cq(text, &t.sig).unwrap();
+            let rw = presto_rewrite(&q, &cls);
+            let mut answers = crate::answer::Answers::new();
+            for vq in &rw.queries {
+                let body: Vec<&str> = vq.atoms.iter().flat_map(ViewAtom::vars).collect();
+                assert!(
+                    vq.head.iter().all(|h| body.contains(&h.as_str())),
+                    "{text}: {vq:?}"
+                );
+                answers.extend(evaluate_view_query(vq, &cls, &ab));
+            }
+            assert_eq!(answers, [want].into(), "{text}");
+        }
     }
 
     #[test]

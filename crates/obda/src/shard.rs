@@ -53,7 +53,7 @@ use obda_obs::{registry, span, Counter, TraceCtx, TraceSink};
 use quonto::sync::{lock_or_recover, wait_timeout_or_recover};
 use quonto::Classification;
 
-use crate::answer::{eval_disjuncts, AboxIndex, Answers};
+use crate::answer::{eval_disjuncts, AboxIndex, Answers, JoinWork};
 use crate::delta::{
     maintain_merged_memo, record_batch, resolve_delta, AboxDelta, DeltaSummary, ResolvedFact,
 };
@@ -422,8 +422,8 @@ impl ShardedAboxSystem {
     }
 
     /// Evaluates routed disjuncts on one shard, under its gate; returns
-    /// the answers and the join steps tried.
-    fn eval_on_shard(&self, i: usize, disjuncts: &[&ConjunctiveQuery]) -> (Answers, u64) {
+    /// the answers and the join work done.
+    fn eval_on_shard(&self, i: usize, disjuncts: &[&ConjunctiveQuery]) -> (Answers, JoinWork) {
         // lint: allow(R1.index, "i comes from routing over 0..self.shards.len()")
         let shard = &self.shards[i];
         shard.requests.fetch_add(1, Ordering::Relaxed);
@@ -474,13 +474,13 @@ impl ShardedAboxSystem {
 
     /// Scatters per-shard work onto scoped threads and gathers with an
     /// ordered merge; returns the answers, the threads used and the join
-    /// steps of every shard. Per-shard timing spans are recorded after
+    /// work of every shard. Per-shard timing spans are recorded after
     /// the merge, in shard order, so the trace is deterministic.
     fn scatter_eval(
         &self,
         per_shard: &[Vec<&ConjunctiveQuery>],
         ctx: &TraceCtx,
-    ) -> (Answers, usize, u64) {
+    ) -> (Answers, usize, JoinWork) {
         let work: Vec<usize> = per_shard
             .iter()
             .enumerate()
@@ -488,12 +488,12 @@ impl ShardedAboxSystem {
             .map(|(i, _)| i)
             .collect();
         if work.is_empty() {
-            return (Answers::new(), 1, 0);
+            return (Answers::new(), 1, JoinWork::default());
         }
         let par = self.scatter_parallelism(work.len());
         let mut timings: Vec<ShardTiming> = Vec::with_capacity(work.len());
         let mut merged = Answers::new();
-        let mut join_steps = 0;
+        let mut done = JoinWork::default();
         if par <= 1 {
             // Inline sequential path: on a 1-core host (or 1 busy
             // shard) thread spawn overhead would only slow things down.
@@ -501,11 +501,11 @@ impl ShardedAboxSystem {
                 let start_us = ctx.now_us();
                 let t = Instant::now();
                 // lint: allow(R1.index, "work holds indexes into per_shard by construction")
-                let (answers, steps) = self.eval_on_shard(i, &per_shard[i]);
+                let (answers, w) = self.eval_on_shard(i, &per_shard[i]);
                 // lint: allow(R1.index, "work holds indexes into per_shard by construction")
                 timings.push((i, per_shard[i].len(), start_us, elapsed_us(t)));
                 merged.extend(answers);
-                join_steps += steps;
+                done += w;
             }
         } else {
             let mut groups: Vec<Vec<usize>> = vec![Vec::new(); par];
@@ -513,7 +513,7 @@ impl ShardedAboxSystem {
                 // lint: allow(R1.index, "k % par < par == groups.len() by the vec! above")
                 groups[k % par].push(i);
             }
-            let mut results: Vec<(ShardTiming, (Answers, u64))> = std::thread::scope(|scope| {
+            let mut results: Vec<(ShardTiming, _)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = groups
                     .iter()
                     .map(|group| {
@@ -543,10 +543,10 @@ impl ShardedAboxSystem {
                     .collect()
             });
             results.sort_unstable_by_key(|r| r.0 .0);
-            for (timing, (answers, steps)) in results {
+            for (timing, (answers, w)) in results {
                 timings.push(timing);
                 merged.extend(answers);
-                join_steps += steps;
+                done += w;
             }
         }
         for (i, disjuncts, start_us, dur_us) in timings {
@@ -557,7 +557,7 @@ impl ShardedAboxSystem {
                 vec![("shard", i as u64), ("disjuncts", disjuncts as u64)],
             );
         }
-        (merged, par, join_steps)
+        (merged, par, done)
     }
 
     /// Builds one view's partial extent on every shard (each memoized
@@ -625,8 +625,8 @@ impl ShardedAboxSystem {
             );
             extents.insert(def.pred(), ext);
         }
-        let (answers, join_steps) = join_skeletons(&prog.queries, &extents);
-        guard.count("join_steps", join_steps);
+        let (answers, work) = join_skeletons(&prog.queries, &extents);
+        work.count_on(&guard);
         answers
     }
 
@@ -688,17 +688,17 @@ impl ShardedAboxSystem {
         guard.count("shards", n as u64);
         guard.count("local_disjuncts", local as u64);
         guard.count("cross_shard_disjuncts", cross.len() as u64);
-        let (mut answers, par, mut join_steps) = self.scatter_eval(&per_shard, ctx);
+        let (mut answers, par, mut work) = self.scatter_eval(&per_shard, ctx);
         guard.count("threads", par as u64);
         if !cross.is_empty() {
             let fb = self.ensure_fallback();
             let g = span!(ctx, "gather_join");
             g.count("disjuncts", cross.len() as u64);
-            let (gathered, steps) = eval_disjuncts(cross.iter().copied(), &fb.abox, &fb.index);
+            let (gathered, w) = eval_disjuncts(cross.iter().copied(), &fb.abox, &fb.index);
             answers.extend(gathered);
-            join_steps += steps;
+            work += w;
         }
-        guard.count("join_steps", join_steps);
+        work.count_on(&guard);
         drop(guard);
         let m = shard_metrics();
         m.queries.add(1);

@@ -68,7 +68,7 @@ use obda_obs::{registry, span, Counter, Histogram, TraceCtx, TraceSink};
 use obda_sqlstore::Database;
 use quonto::Classification;
 
-use crate::answer::{evaluate_ucq_parallel_traced, AboxIndex, Answers};
+use crate::answer::{evaluate_ucq_parallel_traced, AboxIndex, Answers, JoinWork};
 use crate::consistency::{check_consistency, Violation};
 use crate::delta::{
     apply_to_store, maintain_memo, record_batch, resolve_delta, AboxDelta, DeltaSummary,
@@ -829,9 +829,9 @@ impl ObdaSystem {
                 guard.count("threads", 1);
                 guard.count("disjuncts", rw.len() as u64);
                 let mut answers = Answers::new();
-                let mut join_steps = 0;
+                let mut work = JoinWork::default();
                 for vq in &rw.queries {
-                    let (found, steps) = evaluate_view_query_ebox(
+                    let (found, w) = evaluate_view_query_ebox(
                         vq,
                         &self.classification,
                         &mat.abox,
@@ -839,9 +839,9 @@ impl ObdaSystem {
                         ebox.as_deref(),
                     );
                     answers.extend(found);
-                    join_steps += steps;
+                    work += w;
                 }
-                guard.count("join_steps", join_steps);
+                work.count_on(&guard);
                 answers
             }
             (CachedRewriting::Ndl(prog), DataMode::Virtual) => answer_ndl_virtual_traced(

@@ -1,4 +1,5 @@
-//! The UCQ kernel against an evaluator that shares none of its code.
+//! The UCQ and NDL kernels against an evaluator that shares none of
+//! their code.
 //!
 //! The chase oracle of the other equivalence suites evaluates through
 //! `mastro::evaluate_cq`, the kernel itself, so a kernel fault would show
@@ -12,15 +13,29 @@
 //! queries are checked again after random deletes, applied through an
 //! `AboxSystem` over a TBox with no axioms — answering is then plain
 //! evaluation over an index whose buckets the deletes have emptied.
+//!
+//! The NDL arm answers the same query shapes through an `AboxSystem` in
+//! `RewritingMode::Ndl` over random positive TBoxes, so views carry
+//! several members, `∃`-members and inverse roles. Its reference is the
+//! brute-force evaluator over `perfect_ref`'s unpruned UCQ, so no join
+//! kernel runs on the reference side. It is checked again after each of
+//! three write batches of random deletes and inserts, which patch the
+//! memoized view extents in place.
 
 use std::collections::HashSet;
 
+use mastro::rewrite::ndl::ViewDef;
 use mastro::{
-    evaluate_ucq_indexed, evaluate_ucq_parallel, AboxDelta, AboxIndex, AboxSystem, AnswerTerm,
-    Answers, Atom, ConjunctiveQuery, DeltaStatement, QueryEngine, Term, Ucq, ValueTerm,
+    evaluate_ucq_indexed, evaluate_ucq_parallel, ndl_compile, perfect_ref, AboxDelta, AboxIndex,
+    AboxSystem, AnswerTerm, Answers, Atom, ConjunctiveQuery, DeltaStatement, QueryEngine,
+    RewritingMode, Term, Ucq, ValueTerm,
 };
-use obda_dllite::{Abox, Assertion, AttributeId, ConceptId, IndividualId, RoleId, Tbox, Value};
+use obda_dllite::{
+    Abox, Assertion, AttributeId, BasicConcept, BasicRole, ConceptId, IndividualId, RoleId, Tbox,
+    Value,
+};
 use obda_genont::{random_abox, random_tbox};
+use quonto::Classification;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -156,7 +171,12 @@ fn brute_force(q: &ConjunctiveQuery, abox: &Abox) -> Answers {
         })
         .collect();
     let mut out = Answers::new();
-    if domains.iter().any(|d| d.is_empty()) {
+    // A head variable missing from the body (PerfectRef's reduce can
+    // bind one to a literal) makes the disjunct unsafe: it answers
+    // nothing, as in the kernels, and the unreduced disjunct it came
+    // from keeps its answers.
+    let unsafe_head = q.head.iter().any(|h| !vars.contains(&h.as_str()));
+    if unsafe_head || domains.iter().any(|d| d.is_empty()) {
         return out;
     }
     let mut pick = vec![0usize; vars.len()];
@@ -333,4 +353,127 @@ fn kernel_matches_brute_force_before_and_after_deletes() {
         "unbound subject/object/value positions: {unbound_positions:?}"
     );
     assert!(emptied > 100, "{emptied} buckets emptied");
+}
+
+/// The positive inclusions of a random TBox: every ABox is consistent
+/// with it, and its views carry several members.
+fn positive_tbox(seed: u64) -> Tbox {
+    let full = random_tbox(seed, 3, 2, 2, 10);
+    let mut pos = Tbox::with_signature(full.sig.clone());
+    for ax in full.positive_inclusions() {
+        pos.add(*ax);
+    }
+    pos
+}
+
+/// A random fact over `t`'s signature, its subject and object drawn
+/// from `x0`…`x6` (`x6` is new to `random_abox`'s data); interned into
+/// `abox` so the write statement can name it.
+fn random_fact(rng: &mut SmallRng, t: &Tbox, abox: &mut Abox) -> Assertion {
+    let mut ind = |rng: &mut SmallRng| abox.individual(&format!("x{}", rng.gen_range(0..7)));
+    let s = ind(rng);
+    match rng.gen_range(0..3) {
+        0 => Assertion::Concept(ConceptId(rng.gen_range(0..t.sig.num_concepts() as u32)), s),
+        1 => Assertion::Role(
+            RoleId(rng.gen_range(0..t.sig.num_roles() as u32)),
+            s,
+            ind(rng),
+        ),
+        _ => Assertion::Attribute(
+            AttributeId(rng.gen_range(0..t.sig.num_attributes() as u32)),
+            s,
+            Value::Int(rng.gen_range(0..5)),
+        ),
+    }
+}
+
+#[test]
+fn ndl_matches_brute_force_over_perfect_ref_before_and_after_writes() {
+    let mut compared = 0;
+    // View members: all, beyond a view's own target, `∃`-members, and
+    // inverse role members.
+    let mut members = [0usize; 4];
+    let mut deleted = 0;
+    for seed in 0..20u64 {
+        let t = positive_tbox(seed.wrapping_add(70_000));
+        let mut abox = random_abox(seed, &t, 6, 24);
+        let queries: Vec<ConjunctiveQuery> = (0..6)
+            .flat_map(|k| random_ucq(seed * 100 + k, &t).disjuncts)
+            .collect();
+        let cls = Classification::classify(&t);
+        for q in &queries {
+            for view in ndl_compile(q, &cls).views {
+                match view {
+                    ViewDef::Concept { target, members: m } => {
+                        members[0] += m.len();
+                        members[1] += m.iter().filter(|b| **b != target).count();
+                        members[2] += m
+                            .iter()
+                            .filter(|b| matches!(b, BasicConcept::Exists(_)))
+                            .count();
+                    }
+                    ViewDef::Role { target, members: m } => {
+                        members[0] += m.len();
+                        members[1] += m.iter().filter(|r| **r != target).count();
+                        members[3] += m
+                            .iter()
+                            .filter(|r| matches!(r, BasicRole::Inverse(_)))
+                            .count();
+                    }
+                    ViewDef::Attr { target, members: m } => {
+                        members[0] += m.len();
+                        members[1] += m.iter().filter(|u| **u != target).count();
+                    }
+                }
+            }
+        }
+
+        let sys = AboxSystem::new(t.clone(), abox.clone()).with_rewriting(RewritingMode::Ndl);
+        let check = |abox: &Abox, when: &str| {
+            for q in &queries {
+                let want = brute_force_ucq(&perfect_ref(q, &t), abox);
+                assert_eq!(sys.answer_cq(q), want, "seed {seed} {when}: {q:?}");
+            }
+        };
+        // The first pass memoizes every view extent, so the writes below
+        // patch them rather than build them afresh.
+        check(&abox, "before writes");
+        compared += queries.len();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xD17A);
+        for batch in 0..3 {
+            let doomed: Vec<Assertion> = abox
+                .assertions()
+                .iter()
+                .filter(|_| rng.gen_bool(0.25))
+                .cloned()
+                .collect();
+            let fresh: Vec<Assertion> = (0..4)
+                .map(|_| random_fact(&mut rng, &t, &mut abox))
+                .collect();
+            let delta = doomed
+                .iter()
+                .fold(AboxDelta::new(), |d, a| d.delete(statement(&t, &abox, a)));
+            let delta = fresh
+                .iter()
+                .fold(delta, |d, a| d.insert(statement(&t, &abox, a)));
+            sys.apply_delta(&delta).unwrap();
+            // Deletes apply before inserts, as the write path orders them.
+            for a in &doomed {
+                assert!(abox.remove(a));
+            }
+            for a in fresh {
+                abox.add(a);
+            }
+            deleted += doomed.len();
+            check(&abox, &format!("after write batch {batch}"));
+            compared += queries.len();
+        }
+    }
+    // Guard against the generators drifting away from the shapes under test.
+    assert!(compared > 500, "{compared} queries compared");
+    assert!(
+        members[1] > 300 && members[2] > 200 && members[3] > 20,
+        "view members (all, non-target, ∃, inverse): {members:?}"
+    );
+    assert!(deleted > 150, "{deleted} facts deleted");
 }
