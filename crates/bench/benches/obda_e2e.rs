@@ -1,6 +1,6 @@
 //! A4: end-to-end OBDA answering, virtual vs materialized, Presto vs
 //! PerfectRef, on the university scenario — including rewrite-cache
-//! cold vs warm and the 1/2/4-thread materialized evaluator.
+//! cold vs warm.
 //!
 //! The mode matrix drives the engines through the unified
 //! [`mastro::QueryEngine`] trait (constructed via
@@ -15,14 +15,12 @@ fn build_engine(
     scenario: &UniversityScenario,
     rw: RewritingMode,
     dm: DataMode,
-    threads: usize,
 ) -> Box<dyn QueryEngine> {
     let db = mastro::demo::load_database(scenario).expect("loads");
     let mappings = mastro::demo::build_mappings(scenario);
     let sys = EngineConfig::new()
         .rewriting(rw)
         .data_mode(dm)
-        .eval_threads(threads)
         .build_obda(scenario.tbox.clone(), mappings, db)
         .expect("builds");
     if dm == DataMode::Materialized {
@@ -49,9 +47,14 @@ fn obda_e2e(c: &mut Criterion) {
             RewritingMode::Presto,
             DataMode::Materialized,
         ),
+        (
+            "perfectref_materialized",
+            RewritingMode::PerfectRef,
+            DataMode::Materialized,
+        ),
     ];
     for (label, rw, dm) in modes {
-        let engine = build_engine(&scenario, rw, dm, 1);
+        let engine = build_engine(&scenario, rw, dm);
         for qs in &scenario.queries {
             group.bench_with_input(BenchmarkId::new(label, &qs.name), &qs.text, |b, text| {
                 b.iter(|| engine.answer(QueryLang::Cq, text).expect("answers"))
@@ -87,21 +90,6 @@ fn obda_e2e(c: &mut Criterion) {
         );
     }
 
-    // Thread scaling of the materialized UCQ evaluator.
-    for threads in [1usize, 2, 4] {
-        let engine = build_engine(
-            &scenario,
-            RewritingMode::PerfectRef,
-            DataMode::Materialized,
-            threads,
-        );
-        let label = format!("perfectref_mat_{threads}t");
-        for qs in &scenario.queries {
-            group.bench_with_input(BenchmarkId::new(&label, &qs.name), &qs.text, |b, text| {
-                b.iter(|| engine.answer(QueryLang::Cq, text).expect("answers"))
-            });
-        }
-    }
     group.finish();
 }
 

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! loadgen [--addr HOST:PORT] [--workers N] [--queue N] [--scale N] [--seed N]
-//!         [--kind university|university-abox] [--shards N] [--exact-workers]
+//!         [--kind university|university-abox] [--exact-workers]
 //!         [--connections N] [--requests N]
 //!         [--mix cq|sparql|both] [--write-frac F] [--batch N]
 //!         [--warm] [--timeout-ms N] [--label S] [--markdown]
@@ -71,8 +71,6 @@ struct Opts {
     /// I/O-bound backend so worker-pool scaling is visible even when
     /// the queries themselves are CPU-cheap (or the host is 1-core).
     delay_ms: u64,
-    /// ABox shards on the spawned endpoint (0 = unsharded default).
-    shards: usize,
     /// Run exactly `--workers` threads even past the core count.
     exact_workers: bool,
     label: String,
@@ -109,7 +107,6 @@ impl Default for Opts {
             warm: false,
             timeout_ms: 30_000,
             delay_ms: 0,
-            shards: 0,
             exact_workers: false,
             label: String::new(),
             markdown: false,
@@ -122,7 +119,7 @@ impl Default for Opts {
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--addr HOST:PORT] [--workers N] [--queue N] [--scale N] [--seed N]\n\
-         \x20              [--kind university|university-abox] [--shards N] [--exact-workers]\n\
+         \x20              [--kind university|university-abox] [--exact-workers]\n\
          \x20              [--rewriting perfectref|presto|ndl] [--ebox off|on|infer]\n\
          \x20              [--connections N] [--requests N]\n\
          \x20              [--mix cq|sparql|both] [--write-frac F] [--batch N]\n\
@@ -192,7 +189,6 @@ fn parse_opts() -> Opts {
                 opts.timeout_ms = val("--timeout-ms").parse().unwrap_or_else(|_| usage())
             }
             "--delay-ms" => opts.delay_ms = val("--delay-ms").parse().unwrap_or_else(|_| usage()),
-            "--shards" => opts.shards = val("--shards").parse().unwrap_or_else(|_| usage()),
             "--exact-workers" => opts.exact_workers = true,
             "--label" => opts.label = val("--label"),
             "--markdown" => opts.markdown = true,
@@ -482,8 +478,8 @@ fn main() {
         }
         None => {
             eprintln!(
-                "loadgen: spawning in-process server (workers={} queue={} scale={} seed={} shards={})",
-                opts.workers, opts.queue, opts.scale, opts.seed, opts.shards
+                "loadgen: spawning in-process server (workers={} queue={} scale={} seed={})",
+                opts.workers, opts.queue, opts.scale, opts.seed
             );
             let server = Server::start(ServerConfig {
                 workers: opts.workers,
@@ -496,9 +492,6 @@ fn main() {
                     seed: opts.seed,
                     engine: {
                         let mut engine = EndpointConfig::default().engine.rewriting(opts.rewriting);
-                        if opts.shards > 0 {
-                            engine = engine.shards(opts.shards);
-                        }
                         if let Some(mode) = opts.ebox {
                             engine = engine.ebox(mode);
                         }
@@ -610,12 +603,6 @@ fn main() {
         .get("workers")
         .and_then(Json::as_u64)
         .unwrap_or(opts.workers as u64);
-    let shards = stats
-        .get("endpoints")
-        .and_then(|e| e.get(ENDPOINT))
-        .and_then(|e| e.get("shards"))
-        .and_then(Json::as_u64)
-        .unwrap_or(1);
     let rewriting = stats
         .get("endpoints")
         .and_then(|e| e.get(ENDPOINT))
@@ -643,7 +630,7 @@ fn main() {
         format!(" label={}", opts.label)
     };
     println!(
-        "loadgen report{label} workers={workers} shards={shards} rewriting={rewriting} ebox={ebox} connections={} requests={} mix_size={} warm={}",
+        "loadgen report{label} workers={workers} rewriting={rewriting} ebox={ebox} connections={} requests={} mix_size={} warm={}",
         opts.connections,
         total,
         mix.len(),
@@ -692,7 +679,6 @@ fn main() {
             ("label", opts.label.as_str().into()),
             ("kind", kind_name(opts.kind).into()),
             ("workers", workers.into()),
-            ("shards", shards.into()),
             ("rewriting", rewriting.as_str().into()),
             ("ebox", ebox.as_str().into()),
             ("ebox_constraints", ebox_constraints.into()),

@@ -1,6 +1,6 @@
 //! **A4 ablation**: end-to-end OBDA answering, virtual (unfold to SQL)
 //! vs materialized (evaluate over the extracted ABox), across data
-//! scales, then (A4b) the rewrite cache and eval threads.
+//! scales, then (A4b) the rewrite cache.
 //!
 //! Every configuration's answers to each query are compared with the
 //! first one's, and with the A4 answers at A4b's scale; the report
@@ -131,76 +131,60 @@ fn main() {
     }
 }
 
-/// Section 2: the rewrite cache and the parallel evaluator on the
-/// materialized PerfectRef path. `cold` re-rewrites each round
-/// (invalidating the cache), `warm` hits the cached pruned UCQ; the
-/// thread columns shard the UCQ evaluation.
+/// Section 2: the rewrite cache on the materialized PerfectRef path.
+/// `cold` re-rewrites each round (invalidating the cache), `warm` hits
+/// the cached pruned UCQ.
 fn cache_report(agreement: &mut Agreement) {
-    println!(
-        "\nA4b — rewrite cache and eval threads (PerfectRef, materialized, scale {CACHE_SCALE})\n"
-    );
+    println!("\nA4b — rewrite cache (PerfectRef, materialized, scale {CACHE_SCALE})\n");
     let scenario = university_scenario(CACHE_SCALE, 42);
     let rounds = 20;
     let mut table = vec![vec![
         "query".to_owned(),
         format!("cold x{rounds}"),
         format!("warm x{rounds}"),
-        "warm 2t".into(),
-        "warm 4t".into(),
         "answers".into(),
     ]];
-    let mut sys1 = perfectref_system(&scenario, 1);
-    let mut sys2 = perfectref_system(&scenario, 2);
-    let mut sys4 = perfectref_system(&scenario, 4);
+    let mut sys = perfectref_system(&scenario);
     for qs in &scenario.queries {
         let t0 = Instant::now();
         let mut answers = Answers::new();
         for _ in 0..rounds {
-            sys1.invalidate_rewrites();
-            answers = sys1.answer(&qs.text).expect("answers");
+            sys.invalidate_rewrites();
+            answers = sys.answer(&qs.text).expect("answers");
         }
         let cold = t0.elapsed();
         let count = answers.len();
         agreement.check(CACHE_SCALE, &qs.name, "A4b cold", answers);
 
-        let mut warm_timed = |sys: &mut ObdaSystem, config: &str| {
-            let _ = sys.answer(&qs.text).expect("warms");
-            let t = Instant::now();
-            let mut answers = Answers::new();
-            for _ in 0..rounds {
-                answers = sys.answer(&qs.text).expect("answers");
-            }
-            let elapsed = t.elapsed();
-            agreement.check(CACHE_SCALE, &qs.name, config, answers);
-            elapsed
-        };
-        let warm1 = warm_timed(&mut sys1, "A4b warm 1t");
-        let warm2 = warm_timed(&mut sys2, "A4b warm 2t");
-        let warm4 = warm_timed(&mut sys4, "A4b warm 4t");
+        let _ = sys.answer(&qs.text).expect("warms");
+        let t = Instant::now();
+        let mut answers = Answers::new();
+        for _ in 0..rounds {
+            answers = sys.answer(&qs.text).expect("answers");
+        }
+        let warm = t.elapsed();
+        agreement.check(CACHE_SCALE, &qs.name, "A4b warm", answers);
         table.push(vec![
             qs.name.clone(),
             format!("{cold:.2?}"),
-            format!("{warm1:.2?}"),
-            format!("{warm2:.2?}"),
-            format!("{warm4:.2?}"),
+            format!("{warm:.2?}"),
             count.to_string(),
         ]);
     }
     println!("{}", obda_bench::render(&table));
-    let stats = sys1.rewrite_cache_stats();
+    let stats = sys.rewrite_cache_stats();
     println!(
-        "cache: {} hits / {} misses on the single-thread system; run with QUONTO_TIMINGS=1 to see the per-phase mastro-timings lines (warm queries report cache=hit rewrite_ms~0).",
+        "cache: {} hits / {} misses; run with QUONTO_TIMINGS=1 to see the per-phase mastro-timings lines (warm queries report cache=hit rewrite_ms~0).",
         stats.hits, stats.misses
     );
 }
 
-/// A materialized PerfectRef system at `threads` eval threads, built
-/// through `EngineConfig` and materialized up front.
-fn perfectref_system(scenario: &UniversityScenario, threads: usize) -> ObdaSystem {
+/// A materialized PerfectRef system, built through `EngineConfig` and
+/// materialized up front.
+fn perfectref_system(scenario: &UniversityScenario) -> ObdaSystem {
     let sys = EngineConfig::new()
         .rewriting(RewritingMode::PerfectRef)
         .data_mode(DataMode::Materialized)
-        .eval_threads(threads)
         .build_obda(
             scenario.tbox.clone(),
             mastro::demo::build_mappings(scenario),

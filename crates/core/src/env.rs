@@ -11,9 +11,8 @@
 //! 2. **Self-documenting** — the README/DESIGN knob tables are rendered
 //!    from [`markdown_table`] (`cargo run -p xtask -- env-docs --write`)
 //!    and the lint fails when they fall out of sync;
-//! 3. **One parse policy** — defaults and "0 = all cores" conventions
-//!    live next to the declaration instead of being re-implemented per
-//!    call site.
+//! 3. **One parse policy** — defaults and value conventions live next
+//!    to the declaration instead of being re-implemented per call site.
 //!
 //! Adding a knob: append a [`Knob`] entry, add a typed accessor, run
 //! `cargo run -p xtask -- env-docs --write`, and commit both.
@@ -24,9 +23,7 @@
 pub enum KnobKind {
     /// Boolean: set to `1` to enable; anything else (or unset) is off.
     Flag,
-    /// Non-negative integer count (`0` conventionally = all cores).
-    Count,
-    /// Non-negative integer threshold with no `0` convention.
+    /// Non-negative integer.
     Limit,
     /// Floating-point scale factor.
     Scale,
@@ -39,7 +36,6 @@ impl KnobKind {
     pub fn values(self) -> &'static str {
         match self {
             KnobKind::Flag => "`1` to enable",
-            KnobKind::Count => "integer (`0` = all cores)",
             KnobKind::Limit => "integer",
             KnobKind::Scale => "float",
             KnobKind::Name => "name",
@@ -106,21 +102,6 @@ pub const KNOBS: &[Knob] = &[
               `rewrite_prune_capped` counter; `--rewriting ndl` sidesteps the blowup.",
     },
     Knob {
-        name: "QUONTO_SHARDS",
-        kind: KnobKind::Count,
-        default: "1",
-        doc: "ABox evaluation shards in `mastro` (`0` = all cores). `1` serves the unsharded \
-              fast path; higher values partition the ABox by subject hash and scatter-gather \
-              UCQ evaluation across the shards.",
-    },
-    Knob {
-        name: "QUONTO_THREADS",
-        kind: KnobKind::Count,
-        default: "1",
-        doc: "UCQ evaluation threads per query in `mastro` (`0` = all cores). Keep at 1 when \
-              serving many concurrent clients.",
-    },
-    Knob {
         name: "QUONTO_TIMINGS",
         kind: KnobKind::Name,
         default: "off",
@@ -130,7 +111,7 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "QUONTO_TRACE_RING",
-        kind: KnobKind::Count,
+        kind: KnobKind::Limit,
         default: "128",
         doc: "Capacity of the in-process ring of completed query traces served by the server \
               `TRACE` verb (`0` disables trace capture).",
@@ -172,12 +153,6 @@ pub fn closure_engine() -> Option<String> {
 /// so the mode vocabulary lives next to the modes.
 pub fn ebox_mode() -> Option<String> {
     raw("QUONTO_EBOX").filter(|s| !s.is_empty())
-}
-
-/// `QUONTO_THREADS`: UCQ evaluation threads, if set and numeric.
-/// `Some(0)` means "all available cores" by workspace convention.
-pub fn eval_threads() -> Option<usize> {
-    raw("QUONTO_THREADS").and_then(|s| s.parse().ok())
 }
 
 /// The trace-sink selection carried by `QUONTO_TIMINGS`.
@@ -231,13 +206,6 @@ pub fn full_presets() -> bool {
 /// `QUONTO_BENCH_SCALE`: bench ontology scale factor, if set and valid.
 pub fn bench_scale() -> Option<f64> {
     raw("QUONTO_BENCH_SCALE").and_then(|s| s.parse().ok())
-}
-
-/// `QUONTO_SHARDS`: ABox evaluation shard count, if set and numeric.
-/// `Some(0)` means "all available cores" by workspace convention;
-/// `Some(1)` (and unset) select the unsharded fast path.
-pub fn shards() -> Option<usize> {
-    raw("QUONTO_SHARDS").and_then(|s| s.parse().ok())
 }
 
 /// `QUONTO_TRACE_RING`: capacity of the global completed-trace ring,

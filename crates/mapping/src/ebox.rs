@@ -69,21 +69,6 @@ impl EboxPredicate {
             EboxPredicate::Attribute(u) => NamedPredicate::Attribute(u),
         }
     }
-
-    /// Whether the extension is determined by facts *keyed on their
-    /// subject individual*: concept memberships, direct-role subjects,
-    /// attribute subjects. Under subject-hash sharding these extensions
-    /// partition by the same key on every shard, so a containment that
-    /// holds on each shard holds globally. `∃P⁻` and inverse-oriented
-    /// role extensions are keyed on the *object* and are excluded from
-    /// per-shard validation.
-    pub fn subject_local(self) -> bool {
-        !matches!(
-            self,
-            EboxPredicate::Concept(BasicConcept::Exists(BasicRole::Inverse(_)))
-                | EboxPredicate::Role(BasicRole::Inverse(_))
-        )
-    }
 }
 
 /// One inclusion dependency `sub ⊑ₑ sup` over asserted extensions.
@@ -103,8 +88,8 @@ pub struct EboxInclusion {
 ///   ([`Ebox::set_exact`]);
 /// * lookups go through [`Ebox::contains`] (reflexive-transitive) and
 ///   [`Ebox::is_empty_pred`];
-/// * the write path calls [`Ebox::retract_about`] with the named
-///   predicates touched by a violating delta; the transitive closure is
+/// * the write path calls [`Ebox::retract_specific`] with the
+///   inclusions and empties a delta violated; the transitive closure is
 ///   rebuilt from the surviving base inclusions and exact annotations
 ///   whose support lost a member are dropped.
 #[derive(Debug, Clone, Default)]
@@ -230,39 +215,11 @@ impl Ebox {
         self.base.len() + self.empty.len() + self.exact.len()
     }
 
-    /// Retracts every constraint whose validity can depend on the
-    /// asserted facts of any predicate in `touched`: inclusions whose
-    /// sub or sup reads from a touched predicate, empties over a
-    /// touched predicate, and exact annotations that either mention a
-    /// touched predicate or lose a supporting inclusion. Returns the
-    /// number of constraints removed; the closure is rebuilt from the
-    /// survivors.
-    pub fn retract_about(&mut self, touched: &HashSet<NamedPredicate>) -> usize {
-        if touched.is_empty() {
-            return 0;
-        }
-        let before = self.constraint_count();
-        self.base.retain(|i| {
-            !touched.contains(&i.sub.source_predicate())
-                && !touched.contains(&i.sup.source_predicate())
-        });
-        self.base_set = self.base.iter().copied().collect();
-        self.empty
-            .retain(|p| !touched.contains(&p.source_predicate()));
-        let base_set = &self.base_set;
-        self.exact.retain(|pred, support| {
-            !touched.contains(pred) && support.iter().all(|i| base_set.contains(i))
-        });
-        self.rebuild_closure();
-        before - self.constraint_count()
-    }
-
     /// Retracts exactly the given inclusions and empties (the ones a
     /// write-path probe found violated), drops exact annotations whose
     /// support lost a member, and rebuilds the closure. Returns the
-    /// number of constraints removed. Finer-grained than
-    /// [`Ebox::retract_about`]: constraints over touched predicates that
-    /// the probes re-validated survive.
+    /// number of constraints removed. Constraints over touched
+    /// predicates that the probes re-validated survive.
     pub fn retract_specific(
         &mut self,
         incls: &HashSet<EboxInclusion>,
@@ -280,54 +237,6 @@ impl Ebox {
             .retain(|_, support| support.iter().all(|i| base_set.contains(i)));
         self.rebuild_closure();
         before - self.constraint_count()
-    }
-
-    /// Restricts the EBox to constraints whose every predicate is
-    /// subject-local (see [`EboxPredicate::subject_local`]) — the forms
-    /// a sharded deployment can validate per shard. Exact annotations
-    /// are kept only if their full support survives.
-    pub fn restrict_subject_local(&self) -> Ebox {
-        let mut out = Ebox::new();
-        for i in &self.base {
-            if i.sub.subject_local() && i.sup.subject_local() {
-                out.add_inclusion(i.sub, i.sup);
-            }
-        }
-        for p in &self.empty {
-            if p.subject_local() {
-                out.set_empty(*p);
-            }
-        }
-        for (pred, support) in &self.exact {
-            if support.iter().all(|i| out.base_set.contains(i)) {
-                out.set_exact(*pred, support.clone());
-            }
-        }
-        out
-    }
-
-    /// Intersects with another EBox (constraints valid in both), used
-    /// by the sharded coordinator to combine per-shard inferences.
-    /// Exact annotations are kept only where their support survives the
-    /// intersection.
-    pub fn intersect(&self, other: &Ebox) -> Ebox {
-        let mut out = Ebox::new();
-        for i in &self.base {
-            if other.base_set.contains(i) {
-                out.add_inclusion(i.sub, i.sup);
-            }
-        }
-        for p in &self.empty {
-            if other.empty.contains(p) {
-                out.set_empty(*p);
-            }
-        }
-        for (pred, support) in &self.exact {
-            if other.exact.contains_key(pred) && support.iter().all(|i| out.base_set.contains(i)) {
-                out.set_exact(*pred, support.clone());
-            }
-        }
-        out
     }
 
     fn rebuild_closure(&mut self) {
@@ -366,10 +275,6 @@ mod tests {
 
     fn exists(i: u32) -> EboxPredicate {
         EboxPredicate::Concept(BasicConcept::exists(RoleId(i)))
-    }
-
-    fn exists_inv(i: u32) -> EboxPredicate {
-        EboxPredicate::Concept(BasicConcept::exists_inv(RoleId(i)))
     }
 
     fn r(i: u32) -> EboxPredicate {
@@ -418,73 +323,17 @@ mod tests {
                 sup: c(2),
             }],
         );
-        let touched: HashSet<NamedPredicate> = [NamedPredicate::Concept(ConceptId(1))]
+        let through_c1: HashSet<EboxInclusion> = [(c(0), c(1)), (c(1), c(2))]
             .into_iter()
+            .map(|(sub, sup)| EboxInclusion { sub, sup })
             .collect();
-        let removed = e.retract_about(&touched);
+        let removed = e.retract_specific(&through_c1, &[c(1)].into_iter().collect());
         // Both inclusions through c1, the empty on c1, and the exact
         // annotation whose support used c1 ⊑ c2 all go.
         assert_eq!(removed, 4);
         assert!(!e.contains(c(0), c(2)), "closure rebuilt without c1 path");
         assert!(e.contains(exists(0), c(2)), "unrelated constraint survives");
         assert!(!e.is_exact(NamedPredicate::Concept(ConceptId(2))));
-    }
-
-    #[test]
-    fn retraction_by_role_touches_exists_forms() {
-        let mut e = Ebox::new();
-        e.add_inclusion(exists(0), c(1));
-        e.add_inclusion(exists_inv(0), c(2));
-        let touched: HashSet<NamedPredicate> =
-            [NamedPredicate::Role(RoleId(0))].into_iter().collect();
-        assert_eq!(e.retract_about(&touched), 2);
-        assert!(e.is_empty());
-    }
-
-    #[test]
-    fn subject_local_restriction_drops_inverse_forms() {
-        let mut e = Ebox::new();
-        e.add_inclusion(exists(0), c(1));
-        e.add_inclusion(exists_inv(0), c(1));
-        e.add_inclusion(r(0), r(1));
-        e.add_inclusion(EboxPredicate::Role(BasicRole::Inverse(RoleId(0))), r(1));
-        let local = e.restrict_subject_local();
-        assert!(local.contains(exists(0), c(1)));
-        assert!(!local.contains(exists_inv(0), c(1)));
-        assert!(local.contains(r(0), r(1)));
-        assert!(!local.contains(EboxPredicate::Role(BasicRole::Inverse(RoleId(0))), r(1)));
-    }
-
-    #[test]
-    fn intersection_keeps_common_constraints_only() {
-        let mut a = Ebox::new();
-        a.add_inclusion(c(0), c(1));
-        a.add_inclusion(c(1), c(2));
-        a.set_empty(c(5));
-        a.set_exact(
-            NamedPredicate::Concept(ConceptId(1)),
-            vec![EboxInclusion {
-                sub: c(0),
-                sup: c(1),
-            }],
-        );
-        let mut b = Ebox::new();
-        b.add_inclusion(c(0), c(1));
-        b.set_empty(c(5));
-        b.set_empty(c(6));
-        b.set_exact(
-            NamedPredicate::Concept(ConceptId(1)),
-            vec![EboxInclusion {
-                sub: c(0),
-                sup: c(1),
-            }],
-        );
-        let i = a.intersect(&b);
-        assert!(i.contains(c(0), c(1)));
-        assert!(!i.contains(c(1), c(2)));
-        assert!(i.is_empty_pred(c(5)));
-        assert!(!i.is_empty_pred(c(6)));
-        assert!(i.is_exact(NamedPredicate::Concept(ConceptId(1))));
     }
 
     #[test]

@@ -34,10 +34,8 @@
 //! reuses it across queries; the plain [`evaluate_cq`]/[`evaluate_ucq`]
 //! entry points build a throwaway one per call.
 //!
-//! [`evaluate_ucq_parallel`] shards a UCQ's disjuncts across scoped
-//! threads (std-only, like `quonto`'s parallel closure). Answers land in
-//! a [`BTreeSet`] so the merged result is byte-identical to the
-//! sequential evaluation regardless of thread count or scheduling.
+//! A query runs on the thread that asked for it: the serving layer gets
+//! its concurrency from the worker pool, one query per worker.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -258,73 +256,19 @@ pub fn evaluate_ucq_indexed(u: &Ucq, abox: &Abox, index: &AboxIndex) -> Answers 
     eval_disjuncts(&u.disjuncts, abox, index).0
 }
 
-/// Evaluates a set of disjuncts (borrowed from one or more UCQs)
-/// against a prebuilt index, unioning their answers. This is the
-/// shard-side evaluation primitive of the scatter-gather engine: the
-/// coordinator routes each disjunct to the shards that can contain its
-/// matches and each shard runs exactly this over its own index.
-pub fn evaluate_disjuncts_indexed(
-    disjuncts: &[&ConjunctiveQuery],
-    abox: &Abox,
-    index: &AboxIndex,
-) -> Answers {
-    eval_disjuncts(disjuncts.iter().copied(), abox, index).0
-}
-
-/// [`evaluate_ucq_parallel`] under an `eval` trace span. Exactly one
-/// span is recorded, from the coordinating thread, with the resolved
-/// thread count and the join steps of every thread as counters — so a
-/// trace's phase set is identical for every `threads` value.
-pub fn evaluate_ucq_parallel_traced(
+/// [`evaluate_ucq_indexed`] under an `eval` trace span that counts the
+/// disjuncts and the kernel's [`JoinWork`].
+pub(crate) fn evaluate_ucq_traced(
     u: &Ucq,
     abox: &Abox,
     index: &AboxIndex,
-    threads: usize,
     ctx: &obda_obs::TraceCtx,
 ) -> Answers {
     let guard = obda_obs::span!(ctx, "eval");
-    guard.count("threads", threads.clamp(1, u.disjuncts.len().max(1)) as u64);
     guard.count("disjuncts", u.len() as u64);
-    let (answers, work) = eval_ucq_parallel(u, abox, index, threads);
+    let (answers, work) = eval_disjuncts(&u.disjuncts, abox, index);
     work.count_on(&guard);
     answers
-}
-
-/// Evaluates a UCQ with the disjuncts sharded round-robin over
-/// `threads` scoped threads. Each shard accumulates into its own
-/// [`Answers`] set; the ordered merge makes the result identical to
-/// [`evaluate_ucq_indexed`] for every thread count.
-pub fn evaluate_ucq_parallel(u: &Ucq, abox: &Abox, index: &AboxIndex, threads: usize) -> Answers {
-    eval_ucq_parallel(u, abox, index, threads).0
-}
-
-fn eval_ucq_parallel(
-    u: &Ucq,
-    abox: &Abox,
-    index: &AboxIndex,
-    threads: usize,
-) -> (Answers, JoinWork) {
-    let shard_count = threads.clamp(1, u.disjuncts.len().max(1));
-    if shard_count <= 1 {
-        return eval_disjuncts(&u.disjuncts, abox, index);
-    }
-    let mut out = Answers::new();
-    let mut work = JoinWork::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shard_count)
-            .map(|k| {
-                let shard = u.disjuncts.iter().skip(k).step_by(shard_count);
-                scope.spawn(move || eval_disjuncts(shard, abox, index))
-            })
-            .collect();
-        for h in handles {
-            // lint: allow(R1.expect, "join() only fails if the shard panicked; re-raising hands the panic to the serving layer's per-request catch_unwind instead of silently dropping answers")
-            let (answers, w) = h.join().expect("UCQ evaluation shard panicked");
-            out.extend(answers);
-            work += w;
-        }
-    });
-    (out, work)
 }
 
 /// The work counters of one kernel run, recorded on its `eval` span.
@@ -1144,8 +1088,7 @@ mod tests {
                 assert_eq!(names(&evaluate_cq_indexed(&q, &ab, &index)), want, "{text}");
             }
         }
-        // A two-variable head whose rows repeat across disjuncts, at one
-        // and two threads.
+        // A two-variable head whose rows repeat across disjuncts.
         let bodies: [&[&str]; 3] = [&["p(x, y)"], &["p(x, y)", "A(x)"], &["p(x, y)", "B(y)"]];
         for perm in permutations(2) {
             let disjuncts = bodies
@@ -1157,10 +1100,8 @@ mod tests {
                 })
                 .collect();
             let ucq = Ucq { disjuncts };
-            for threads in [1, 2] {
-                let ans = evaluate_ucq_parallel(&ucq, &ab, &index, threads);
-                assert_eq!(names(&ans), ["x1,x2", "x2,x2"], "{threads} threads");
-            }
+            let ans = evaluate_ucq_indexed(&ucq, &ab, &index);
+            assert_eq!(names(&ans), ["x1,x2", "x2,x2"], "{perm:?}");
         }
         // Disjuncts whose heads differ in arity keep their own tuples.
         let mixed = [
@@ -1172,14 +1113,8 @@ mod tests {
         let ucq = Ucq {
             disjuncts: mixed.iter().map(|t| parse_cq(t, &sig).unwrap()).collect(),
         };
-        for threads in [1, 2, 3] {
-            let ans = evaluate_ucq_parallel(&ucq, &ab, &index, threads);
-            assert_eq!(
-                names(&ans),
-                ["", "x1", "x1,x2", "x2", "x2,x2"],
-                "{threads} threads"
-            );
-        }
+        let ans = evaluate_ucq_indexed(&ucq, &ab, &index);
+        assert_eq!(names(&ans), ["", "x1", "x1,x2", "x2", "x2,x2"]);
     }
 
     fn permutations(n: usize) -> Vec<Vec<usize>> {
@@ -1228,7 +1163,7 @@ mod tests {
         assert_eq!(ucq.len(), 1);
         let index = AboxIndex::build(&abox);
         let ctx = obda_obs::TraceCtx::new();
-        let answers = evaluate_ucq_parallel_traced(&ucq, &abox, &index, 1, &ctx);
+        let answers = evaluate_ucq_traced(&ucq, &abox, &index, &ctx);
         let trace = ctx.finish("ok", answers.len() as u64).unwrap();
         let steps = trace.counter("join_steps");
         assert!(!answers.is_empty());

@@ -45,15 +45,7 @@ use crate::system::{AboxSystem, DataMode, ObdaSystem, RewritingMode};
 /// they are documented. Surfaces that forward free-form key/value pairs
 /// (the server config parser) iterate this list instead of hard-coding
 /// their own copy.
-pub const ENGINE_CONFIG_KEYS: &[&str] = &[
-    "rewriting",
-    "data",
-    "eval_threads",
-    "rewrite_cache",
-    "shards",
-    "shard_max_inflight",
-    "ebox",
-];
+pub const ENGINE_CONFIG_KEYS: &[&str] = &["rewriting", "data", "rewrite_cache", "ebox"];
 
 /// Typed, layered configuration for every engine shape.
 ///
@@ -67,17 +59,8 @@ pub struct EngineConfig {
     pub rewriting: Option<RewritingMode>,
     /// Data-access mode (default: virtual; OBDA systems only).
     pub data: Option<DataMode>,
-    /// UCQ evaluation threads, `0` = all cores (knob: `QUONTO_THREADS`,
-    /// default 1).
-    pub eval_threads: Option<usize>,
     /// Rewrite-cache toggle (default: enabled).
     pub rewrite_cache: Option<bool>,
-    /// ABox evaluation shards, `0` = all cores (knob: `QUONTO_SHARDS`,
-    /// default 1 = unsharded).
-    pub shards: Option<usize>,
-    /// Per-shard cap on concurrent scatter evaluations (`0` =
-    /// unbounded, the default).
-    pub shard_max_inflight: Option<usize>,
     /// EBox constraint-acquisition mode (knob: `QUONTO_EBOX`, default
     /// off).
     pub ebox: Option<EboxMode>,
@@ -114,29 +97,9 @@ impl EngineConfig {
         self
     }
 
-    /// UCQ evaluation threads, `0` = all cores.
-    pub fn eval_threads(mut self, threads: usize) -> Self {
-        self.eval_threads = Some(threads);
-        self
-    }
-
     /// Enables/disables the rewrite cache.
     pub fn rewrite_cache(mut self, enabled: bool) -> Self {
         self.rewrite_cache = Some(enabled);
-        self
-    }
-
-    /// ABox evaluation shards for
-    /// [`build_abox_engine`](Self::build_abox_engine), `0` = all cores.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Per-shard cap on concurrent scatter evaluations (`0` =
-    /// unbounded). Only meaningful for sharded engines.
-    pub fn shard_max_inflight(mut self, cap: usize) -> Self {
-        self.shard_max_inflight = Some(cap);
         self
     }
 
@@ -168,15 +131,9 @@ impl EngineConfig {
     /// Accepted keys are [`ENGINE_CONFIG_KEYS`]; unknown keys and
     /// unparseable values are errors, not silently ignored.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
-        fn count(key: &str, value: &str) -> Result<usize, String> {
-            value
-                .parse()
-                .map_err(|_| config_err(format!("`{key}` must be a non-negative integer")))
-        }
         match key {
             "rewriting" => self.rewriting = Some(value.parse().map_err(config_err)?),
             "data" => self.data = Some(value.parse().map_err(config_err)?),
-            "eval_threads" => self.eval_threads = Some(count(key, value)?),
             "rewrite_cache" => {
                 self.rewrite_cache = Some(match value {
                     "on" | "true" | "1" => true,
@@ -188,8 +145,6 @@ impl EngineConfig {
                     }
                 })
             }
-            "shards" => self.shards = Some(count(key, value)?),
-            "shard_max_inflight" => self.shard_max_inflight = Some(count(key, value)?),
             "ebox" => self.ebox = Some(value.parse().map_err(config_err)?),
             other => {
                 return Err(config_err(format!(
@@ -210,10 +165,7 @@ impl EngineConfig {
     pub fn or(mut self, fallback: &EngineConfig) -> EngineConfig {
         self.rewriting = self.rewriting.or(fallback.rewriting);
         self.data = self.data.or(fallback.data);
-        self.eval_threads = self.eval_threads.or(fallback.eval_threads);
         self.rewrite_cache = self.rewrite_cache.or(fallback.rewrite_cache);
-        self.shards = self.shards.or(fallback.shards);
-        self.shard_max_inflight = self.shard_max_inflight.or(fallback.shard_max_inflight);
         self.ebox = self.ebox.or(fallback.ebox);
         self.sink = self.sink.or_else(|| fallback.sink.clone());
         self
@@ -234,36 +186,10 @@ impl EngineConfig {
         }
     }
 
-    /// The shard count [`build_abox_engine`](Self::build_abox_engine)
-    /// will use: the explicit setting, else `QUONTO_SHARDS`, else 1;
-    /// `0` resolves to all available cores.
-    pub fn resolved_shards(&self) -> usize {
-        let n = self.shards.or_else(quonto::env::shards).unwrap_or(1);
-        if n == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            n
-        }
-    }
-
-    /// Cross-field validation — the one place engine-level option
-    /// conflicts are rejected, shared by every construction surface.
+    /// Validation shared by every construction surface: an unparseable
+    /// `QUONTO_EBOX` fallback is the one error left to find here.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shards.unwrap_or(0) > 1 && self.data == Some(DataMode::Virtual) {
-            return Err(config_err(
-                "`shards` requires materialized data (virtual engines delegate \
-                 evaluation to the SQL sources)",
-            ));
-        }
-        if self.shard_max_inflight.unwrap_or(0) > 0 && self.shards.unwrap_or(1) <= 1 {
-            return Err(config_err(
-                "`shard_max_inflight` is only meaningful with `shards` > 1",
-            ));
-        }
-        self.resolved_ebox()?;
-        Ok(())
+        self.resolved_ebox().map(|_| ())
     }
 
     /// Renders the explicitly-set options as `key=value` pairs in
@@ -277,17 +203,8 @@ impl EngineConfig {
         if let Some(m) = self.data {
             parts.push(format!("data={}", m.as_str().to_ascii_lowercase()));
         }
-        if let Some(n) = self.eval_threads {
-            parts.push(format!("eval_threads={n}"));
-        }
         if let Some(b) = self.rewrite_cache {
             parts.push(format!("rewrite_cache={}", if b { "on" } else { "off" }));
-        }
-        if let Some(n) = self.shards {
-            parts.push(format!("shards={n}"));
-        }
-        if let Some(n) = self.shard_max_inflight {
-            parts.push(format!("shard_max_inflight={n}"));
         }
         if let Some(m) = self.ebox {
             parts.push(format!("ebox={m}"));
@@ -311,9 +228,6 @@ impl EngineConfig {
         if let Some(mode) = self.data {
             sys = sys.with_data_mode(mode);
         }
-        if let Some(threads) = self.eval_threads {
-            sys = sys.with_eval_threads(threads);
-        }
         if let Some(enabled) = self.rewrite_cache {
             sys = sys.with_rewrite_cache(enabled);
         }
@@ -334,9 +248,6 @@ impl EngineConfig {
         if let Some(mode) = self.rewriting {
             sys = sys.with_rewriting(mode);
         }
-        if let Some(threads) = self.eval_threads {
-            sys = sys.with_eval_threads(threads);
-        }
         if let Some(enabled) = self.rewrite_cache {
             sys = sys.with_rewrite_cache(enabled);
         }
@@ -351,38 +262,10 @@ impl EngineConfig {
         sys
     }
 
-    /// Builds an ABox-backed engine, sharded or not: the serving-layer
-    /// entry point. With [`resolved_shards`](Self::resolved_shards)
-    /// `<= 1` this is exactly [`build_abox`](Self::build_abox) boxed —
-    /// the unsharded fast path stays byte-for-byte what it was.
-    /// Otherwise the ABox is partitioned into a
-    /// [`crate::shard::ShardedAboxSystem`] (which always evaluates each
-    /// shard single-threaded — `eval_threads` does not apply; scatter
-    /// parallelism comes from the shards themselves).
+    /// Builds an ABox-backed engine: [`build_abox`](Self::build_abox),
+    /// boxed for the serving layer.
     pub fn build_abox_engine(&self, tbox: Tbox, abox: Abox) -> Box<dyn QueryEngine> {
-        let n = self.resolved_shards();
-        if n <= 1 {
-            return Box::new(self.build_abox(tbox, abox));
-        }
-        let mut sys = crate::shard::ShardedAboxSystem::new(tbox, abox, n);
-        if let Some(mode) = self.rewriting {
-            sys = sys.with_rewriting(mode);
-        }
-        if let Some(enabled) = self.rewrite_cache {
-            sys = sys.with_rewrite_cache(enabled);
-        }
-        if let Some(cap) = self.shard_max_inflight {
-            sys = sys.with_shard_max_inflight(cap);
-        }
-        if let Ok(mode) = self.resolved_ebox() {
-            if mode.enabled() {
-                sys = sys.with_ebox_mode(mode);
-            }
-        }
-        if let Some(sink) = &self.sink {
-            sys = sys.with_trace_sink(Arc::clone(sink));
-        }
-        Box::new(sys)
+        Box::new(self.build_abox(tbox, abox))
     }
 }
 
@@ -395,22 +278,15 @@ mod tests {
         let mut cfg = EngineConfig::new();
         cfg.set("rewriting", "ndl").unwrap();
         cfg.set("data", "materialized").unwrap();
-        cfg.set("eval_threads", "4").unwrap();
         cfg.set("rewrite_cache", "off").unwrap();
-        cfg.set("shards", "2").unwrap();
-        cfg.set("shard_max_inflight", "8").unwrap();
         cfg.set("ebox", "infer").unwrap();
         assert_eq!(cfg.rewriting, Some(RewritingMode::Ndl));
         assert_eq!(cfg.data, Some(DataMode::Materialized));
-        assert_eq!(cfg.eval_threads, Some(4));
         assert_eq!(cfg.rewrite_cache, Some(false));
-        assert_eq!(cfg.shards, Some(2));
-        assert_eq!(cfg.shard_max_inflight, Some(8));
         assert_eq!(cfg.ebox, Some(EboxMode::Infer));
         assert_eq!(
             cfg.render(),
-            "rewriting=ndl data=materialized eval_threads=4 rewrite_cache=off \
-             shards=2 shard_max_inflight=8 ebox=infer"
+            "rewriting=ndl data=materialized rewrite_cache=off ebox=infer"
         );
     }
 
@@ -419,10 +295,13 @@ mod tests {
         let mut cfg = EngineConfig::new();
         assert!(cfg.set("rewriting", "magic").is_err());
         assert!(cfg.set("data", "psychic").is_err());
-        assert!(cfg.set("eval_threads", "-1").is_err());
         assert!(cfg.set("rewrite_cache", "maybe").is_err());
         assert!(cfg.set("ebox", "sometimes").is_err());
         assert!(cfg.set("no_such_option", "1").is_err());
+        // Thread and shard counts are not engine options.
+        for key in ["eval_threads", "shards", "shard_max_inflight"] {
+            assert!(cfg.set(key, "1").is_err(), "{key}");
+        }
         // Nothing stuck.
         assert!(cfg.rewriting.is_none() && cfg.ebox.is_none());
     }
@@ -431,25 +310,14 @@ mod tests {
     fn layering_prefers_self() {
         let preset = EngineConfig::new()
             .rewriting(RewritingMode::Presto)
-            .eval_threads(2)
+            .rewrite_cache(false)
             .ebox(EboxMode::On);
         let over = EngineConfig::new()
             .rewriting(RewritingMode::Ndl)
             .or(&preset);
         assert_eq!(over.rewriting, Some(RewritingMode::Ndl));
-        assert_eq!(over.eval_threads, Some(2));
+        assert_eq!(over.rewrite_cache, Some(false));
         assert_eq!(over.ebox, Some(EboxMode::On));
-    }
-
-    #[test]
-    fn validate_catches_conflicts() {
-        assert!(EngineConfig::new().validate().is_ok());
-        let sharded_virtual = EngineConfig::new().shards(4).data_mode(DataMode::Virtual);
-        assert!(sharded_virtual.validate().is_err());
-        let inflight_unsharded = EngineConfig::new().shard_max_inflight(2);
-        assert!(inflight_unsharded.validate().is_err());
-        let ok = EngineConfig::new().shards(4).shard_max_inflight(2);
-        assert!(ok.validate().is_ok());
     }
 
     #[test]

@@ -19,10 +19,7 @@
 //!    *rechecked* against the already-patched [`AboxIndex`]: the tuple
 //!    is evicted from the extent only when no member predicate of the
 //!    view still supports it — exact, and O(1) per (tuple, member) via
-//!    the index's hash buckets. Where no backing index exists (the
-//!    sharded coordinator's *merged* memo spans all shards), a touched
-//!    extent is invalidated instead and counted on the
-//!    `delta_fallback` path;
+//!    the index's hash buckets;
 //! 3. **keeps rewritings** — the rewrite cache is keyed on the TBox
 //!    epoch only; a data-only change bumps the ABox *version* (the
 //!    second component of [`DataEpoch`]) and leaves every cached
@@ -173,15 +170,6 @@ pub struct DeltaSummary {
     pub fallbacks: u64,
 }
 
-impl DeltaSummary {
-    /// Accumulates a per-shard summary into a batch total.
-    pub(crate) fn absorb(&mut self, other: DeltaSummary) {
-        self.inserted += other.inserted;
-        self.deleted += other.deleted;
-        self.fallbacks += other.fallbacks;
-    }
-}
-
 // Registry counters for the write path, resolved once: applied batches,
 // changed assertions, extents invalidated instead of patched.
 obda_obs::counter_handle!(pub(crate) fn delta_applied_total, "delta_applied");
@@ -196,24 +184,12 @@ pub(crate) fn record_batch(summary: &DeltaSummary) {
 }
 
 /// A delta statement with its predicate resolved against a signature,
-/// individuals still by name (interning is per-target ABox — the
-/// sharded engine interns each fact in its subject's shard).
+/// individuals still by name (the target ABox interns them on apply).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ResolvedFact {
     Concept(ConceptId, String),
     Role(RoleId, String, String),
     Attr(AttributeId, String, Value),
-}
-
-impl ResolvedFact {
-    /// The subject IRI (shard routing key).
-    pub(crate) fn subject(&self) -> &str {
-        match self {
-            ResolvedFact::Concept(_, s)
-            | ResolvedFact::Role(_, s, _)
-            | ResolvedFact::Attr(_, s, _) => s,
-        }
-    }
 }
 
 fn unknown(kind: &str, name: &str) -> ObdaError {
@@ -350,16 +326,6 @@ pub(crate) fn apply_to_store(
 // ---------------------------------------------------------------------------
 // View-memo maintenance.
 // ---------------------------------------------------------------------------
-
-/// Whether a deleted assertion can shrink the extent of a concept view.
-fn concept_view_hit(members: &[BasicConcept], a: &Assertion) -> bool {
-    members.iter().any(|m| match (m, a) {
-        (BasicConcept::Atomic(c), Assertion::Concept(ac, _)) => c == ac,
-        (BasicConcept::Exists(q), Assertion::Role(p, _, _)) => q.role() == *p,
-        (BasicConcept::AttrDomain(u), Assertion::Attribute(au, _, _)) => u == au,
-        _ => false,
-    })
-}
 
 /// The individuals a batch of assertions contributes to (or withdraws
 /// from) a concept view — one entry per matching (fact, member) pair.
@@ -529,10 +495,7 @@ fn attr_view_additions(
 /// * tuples the batch's deletes touch are *rechecked* against `index`
 ///   (the already-patched post-batch [`AboxIndex`]) and evicted only
 ///   when no member predicate still supports them — exact maintenance,
-///   O(1) hash probes per (tuple, member). With `index: None` (the
-///   coordinator's merged memo, which has no single backing store) a
-///   delete touching any member predicate invalidates the extent
-///   instead, counted as a fallback;
+///   O(1) hash probes per (tuple, member);
 /// * the tuples the batch's inserts contribute are unioned in;
 /// * an untouched extent is kept as-is.
 ///
@@ -548,7 +511,7 @@ pub(crate) fn maintain_memo(
     applied: &AppliedBatch,
     cls: &Classification,
     abox: &Abox,
-    index: Option<&AboxIndex>,
+    index: &AboxIndex,
 ) -> u64 {
     let mut m = lock_or_recover(memo);
     let expected = DataEpoch {
@@ -560,9 +523,8 @@ pub(crate) fn maintain_memo(
         m.set_epoch(new_epoch);
         return 0;
     }
-    let mut fallbacks = 0u64;
     if quonto::env::write_fallback() {
-        fallbacks = m.preds().len() as u64;
+        let fallbacks = m.preds().len() as u64;
         m.clear();
         m.set_epoch(new_epoch);
         return fallbacks;
@@ -572,23 +534,13 @@ pub(crate) fn maintain_memo(
             ViewPred::Concept(target) => {
                 let members = concept_view_members(cls, *target);
                 let mut evicted: Vec<String> = Vec::new();
-                if let Some(ix) = index {
-                    let mut affected = concept_view_touched(&members, &applied.deleted);
-                    affected.sort_unstable();
-                    affected.dedup();
-                    for i in affected {
-                        if !concept_still_member(&members, ix, i) {
-                            evicted.push(abox.individual_name(i).to_string());
-                        }
+                let mut affected = concept_view_touched(&members, &applied.deleted);
+                affected.sort_unstable();
+                affected.dedup();
+                for i in affected {
+                    if !concept_still_member(&members, index, i) {
+                        evicted.push(abox.individual_name(i).to_string());
                     }
-                } else if applied
-                    .deleted
-                    .iter()
-                    .any(|a| concept_view_hit(&members, a))
-                {
-                    m.remove(&pred);
-                    fallbacks += 1;
-                    continue;
                 }
                 let additions = concept_view_additions(&members, &applied.inserted, abox);
                 if additions.is_empty() && evicted.is_empty() {
@@ -609,26 +561,15 @@ pub(crate) fn maintain_memo(
             ViewPred::Role(target) => {
                 let members = role_view_members(cls, *target);
                 let mut evicted: Vec<(String, ExtTerm)> = Vec::new();
-                if let Some(ix) = index {
-                    let mut affected = role_view_touched(&members, &applied.deleted);
-                    affected.sort_unstable();
-                    affected.dedup();
-                    for (s, o) in affected {
-                        if !role_pair_still_member(&members, ix, s, o) {
-                            evicted.push((
-                                abox.individual_name(s).to_string(),
-                                ExtTerm::Iri(abox.individual_name(o).to_string()),
-                            ));
-                        }
-                    }
-                } else {
-                    let hit = applied.deleted.iter().any(
-                        |a| matches!(a, Assertion::Role(p, _, _) if members.iter().any(|q| q.role() == *p)),
-                    );
-                    if hit {
-                        m.remove(&pred);
-                        fallbacks += 1;
-                        continue;
+                let mut affected = role_view_touched(&members, &applied.deleted);
+                affected.sort_unstable();
+                affected.dedup();
+                for (s, o) in affected {
+                    if !role_pair_still_member(&members, index, s, o) {
+                        evicted.push((
+                            abox.individual_name(s).to_string(),
+                            ExtTerm::Iri(abox.individual_name(o).to_string()),
+                        ));
                     }
                 }
                 let additions = role_view_additions(&members, &applied.inserted, abox);
@@ -650,21 +591,9 @@ pub(crate) fn maintain_memo(
             ViewPred::Attr(target) => {
                 let members = attr_view_members(cls, *target);
                 let mut evicted: Vec<(String, ExtTerm)> = Vec::new();
-                if let Some(ix) = index {
-                    for (s, v) in attr_view_touched(&members, &applied.deleted) {
-                        if !attr_pair_still_member(&members, ix, s, &v) {
-                            evicted.push((abox.individual_name(s).to_string(), ExtTerm::Val(v)));
-                        }
-                    }
-                } else {
-                    let hit = applied
-                        .deleted
-                        .iter()
-                        .any(|a| matches!(a, Assertion::Attribute(u, _, _) if members.contains(u)));
-                    if hit {
-                        m.remove(&pred);
-                        fallbacks += 1;
-                        continue;
+                for (s, v) in attr_view_touched(&members, &applied.deleted) {
+                    if !attr_pair_still_member(&members, index, s, &v) {
+                        evicted.push((abox.individual_name(s).to_string(), ExtTerm::Val(v)));
                     }
                 }
                 let additions = attr_view_additions(&members, &applied.inserted, abox);
@@ -686,37 +615,7 @@ pub(crate) fn maintain_memo(
         }
     }
     m.set_epoch(new_epoch);
-    fallbacks
-}
-
-/// Coordinator-tier variant of [`maintain_memo`] for the sharded
-/// engine's *merged*-extent memo, which has no single backing ABox: the
-/// resolved batch (names inline) is interned into a scratch ABox and
-/// replayed through [`maintain_memo`] with no recheck index (there is
-/// no merged [`AboxIndex`] to probe). This over-approximates the
-/// applied batch — a duplicate insert patches an already-present tuple
-/// (idempotent: extents deduplicate) and any delete invalidates the
-/// views its predicate touches (over-invalidation, never staleness),
-/// counted on the `delta_fallback` path.
-pub(crate) fn maintain_merged_memo(
-    memo: &Mutex<ViewMemo>,
-    new_epoch: DataEpoch,
-    inserts: &[ResolvedFact],
-    deletes: &[ResolvedFact],
-    cls: &Classification,
-) -> u64 {
-    let mut scratch = Abox::new();
-    let applied = AppliedBatch {
-        inserted: inserts
-            .iter()
-            .map(|f| to_assertion(&mut scratch, f))
-            .collect(),
-        deleted: deletes
-            .iter()
-            .map(|f| to_assertion(&mut scratch, f))
-            .collect(),
-    };
-    maintain_memo(memo, new_epoch, &applied, cls, &scratch, None)
+    0
 }
 
 #[cfg(test)]

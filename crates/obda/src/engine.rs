@@ -8,11 +8,11 @@
 //! or a bench holds a `Box<dyn QueryEngine>` and a third backend slots
 //! in without touching the serving layer.
 //!
-//! Construction goes through [`SystemBuilder`]: evaluation threads,
-//! cache toggles, and the trace sink are explicit builder options. Any
-//! option left unset falls back to the environment knob it supersedes
-//! (`QUONTO_THREADS`, `QUONTO_TIMINGS`) at build time — so knobs and
-//! builder calls compose, with the builder winning.
+//! Construction goes through [`SystemBuilder`]: cache toggles and the
+//! trace sink are explicit builder options. Any option left unset falls
+//! back to the environment knob it supersedes (`QUONTO_TIMINGS`) at
+//! build time — so knobs and builder calls compose, with the builder
+//! winning.
 
 use std::sync::Arc;
 
@@ -53,44 +53,15 @@ pub struct EngineStats {
     pub rewriting: &'static str,
     /// Data-access mode name (`"Virtual"`, `"Materialized"`, `"Abox"`).
     pub data: &'static str,
-    /// Configured UCQ evaluation threads (0 = all cores).
-    pub eval_threads: usize,
     /// TBox epoch (bumped by invalidation).
     pub tbox_epoch: u64,
-    /// Rewrite-cache hit/miss counters. For a sharded engine this is
-    /// the rollup of the coordinator and every shard, so dashboards
-    /// that parse one hit/miss pair keep working unchanged.
+    /// Rewrite-cache hit/miss counters.
     pub rewrite_cache: RewriteCacheStats,
-    /// Evaluation shards (`1` = the unsharded fast path).
-    pub shards: usize,
     /// EBox mode name (`"off"`, `"on"`, `"infer"`).
     pub ebox: &'static str,
     /// Live EBox constraints (inclusions + empties + exact
     /// annotations); `0` when the EBox is off.
     pub ebox_constraints: usize,
-}
-
-/// Per-shard serving counters, surfaced through
-/// [`QueryEngine::shard_stats`] by sharded engines.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ShardStats {
-    /// Shard index (`0..shards`).
-    pub shard: usize,
-    /// Individuals interned in this shard's ABox.
-    pub individuals: usize,
-    /// Indexed facts owned by this shard.
-    pub facts: usize,
-    /// Scatter evaluations routed to this shard.
-    pub requests: u64,
-    /// This shard's own rewrite-cache counters (direct access only —
-    /// coordinator-routed queries rewrite once at the coordinator).
-    pub rewrite_cache: RewriteCacheStats,
-    /// Configured per-shard inflight cap (`0` = unbounded).
-    pub max_inflight: usize,
-    /// Highest concurrent inflight evaluations observed.
-    pub inflight_high_water: usize,
-    /// Scatter evaluations that had to wait at the shard gate.
-    pub gate_waits: u64,
 }
 
 /// One loaded, thread-shareable query-answering engine.
@@ -135,12 +106,6 @@ pub trait QueryEngine: Send + Sync + std::fmt::Debug {
 
     /// Zeroes the resettable counters in [`stats`](Self::stats).
     fn reset_stats(&self);
-
-    /// Per-shard serving counters; empty for unsharded engines (the
-    /// default), one entry per shard for sharded ones.
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        Vec::new()
-    }
 
     /// Parses `text` under `lang` (recording a `parse` span) and
     /// answers it, recording the remaining phase spans on `ctx`. The
@@ -259,31 +224,10 @@ impl SystemBuilder {
         self
     }
 
-    /// Deprecated shim for [`EngineConfig::eval_threads`].
-    #[deprecated(note = "use EngineConfig::eval_threads")]
-    pub fn eval_threads(mut self, threads: usize) -> Self {
-        self.cfg.eval_threads = Some(threads);
-        self
-    }
-
     /// Deprecated shim for [`EngineConfig::rewrite_cache`].
     #[deprecated(note = "use EngineConfig::rewrite_cache")]
     pub fn rewrite_cache(mut self, enabled: bool) -> Self {
         self.cfg.rewrite_cache = Some(enabled);
-        self
-    }
-
-    /// Deprecated shim for [`EngineConfig::shards`].
-    #[deprecated(note = "use EngineConfig::shards")]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = Some(shards);
-        self
-    }
-
-    /// Deprecated shim for [`EngineConfig::shard_max_inflight`].
-    #[deprecated(note = "use EngineConfig::shard_max_inflight")]
-    pub fn shard_max_inflight(mut self, cap: usize) -> Self {
-        self.cfg.shard_max_inflight = Some(cap);
         self
     }
 
@@ -316,13 +260,7 @@ impl SystemBuilder {
         self.cfg.build_abox(tbox, abox)
     }
 
-    /// The shard count [`build_abox_engine`](Self::build_abox_engine)
-    /// will use (see [`EngineConfig::resolved_shards`]).
-    pub fn resolved_shards(&self) -> usize {
-        self.cfg.resolved_shards()
-    }
-
-    /// Builds an ABox-backed engine, sharded or not (see
+    /// Builds an ABox-backed engine (see
     /// [`EngineConfig::build_abox_engine`]).
     pub fn build_abox_engine(&self, tbox: Tbox, abox: Abox) -> Box<dyn QueryEngine> {
         self.cfg.build_abox_engine(tbox, abox)

@@ -41,19 +41,18 @@ pub mod engine;
 pub mod error;
 pub mod query;
 pub mod rewrite;
-pub mod shard;
 pub mod sparql;
 pub mod system;
 
 pub use answer::{
-    evaluate_cq, evaluate_cq_indexed, evaluate_ucq, evaluate_ucq_indexed, evaluate_ucq_parallel,
-    AboxIndex, AnswerTerm, Answers,
+    evaluate_cq, evaluate_cq_indexed, evaluate_ucq, evaluate_ucq_indexed, AboxIndex, AnswerTerm,
+    Answers,
 };
 pub use config::{EngineConfig, ENGINE_CONFIG_KEYS};
 pub use consistency::{check_consistency, Violation};
 pub use delta::{AboxDelta, DeltaObject, DeltaStatement, DeltaSummary};
 pub use ebox::{infer_from_index, infer_from_mappings, EboxMode};
-pub use engine::{EngineStats, QueryEngine, QueryLang, ShardStats, SystemBuilder};
+pub use engine::{EngineStats, QueryEngine, QueryLang, SystemBuilder};
 pub use error::{ErrorPhase, ObdaError};
 pub use query::{
     parse_cq, print_cq, Atom, ConjunctiveQuery, QueryParseError, Term, Ucq, ValueTerm,
@@ -62,7 +61,6 @@ pub use rewrite::ndl::{ndl_compile, DataEpoch, NdlProgram};
 pub use rewrite::perfectref::{perfect_ref, perfect_ref_scan, perfect_ref_with_index};
 pub use rewrite::presto::{presto_rewrite, PrestoRewriting};
 pub use rewrite::subsume::{prune_ucq, subsumes};
-pub use shard::{shard_of, ShardedAboxSystem};
 pub use sparql::{parse_sparql, SparqlQuery};
 pub use system::{
     AboxSystem, DataMode, MaterializedAbox, ObdaSystem, RewriteCacheStats, RewritingMode,

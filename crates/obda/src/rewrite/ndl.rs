@@ -21,12 +21,11 @@
 //! TBox — and evaluation materializes each view extent exactly once:
 //!
 //! * **materialized mode**: [`build_extent`] computes the extent from the
-//!   [`AboxIndex`], keyed by name so per-shard extents merge without
-//!   re-interning; a [`ViewMemo`] caches extents per ABox epoch
-//!   (`ndl_view_memo_{hit,miss}` registry counters), and
-//!   [`eval_skeletons`] joins each skeleton over the extents: compiled
-//!   to slots and ordered by the UCQ evaluator's planner
-//!   ([`crate::answer`]), with extent sizes as the cost, then a
+//!   [`AboxIndex`], keyed by individual name; a [`ViewMemo`] caches
+//!   extents per ABox epoch (`ndl_view_memo_{hit,miss}` registry
+//!   counters), and [`eval_skeletons`] joins each skeleton over the
+//!   extents: compiled to slots and ordered by the UCQ evaluator's
+//!   planner ([`crate::answer`]), with extent sizes as the cost, then a
 //!   backtracking join that iterates extent buckets by reference. The
 //!   join runs under set semantics, as the UCQ kernel does: each match
 //!   appends its head bindings to the shared row buffer as borrowed
@@ -273,10 +272,9 @@ pub(crate) fn ndl_compile_traced_ebox(
 // Native evaluation: name-keyed view extents + memo + planned join.
 // ---------------------------------------------------------------------------
 
-/// A materialized view extent, keyed by individual *name* so per-shard
-/// extents (whose `IndividualId`s are shard-local) merge directly.
-/// Carries the same secondary indexes as [`AboxIndex`], so one extent
-/// serves every binding pattern.
+/// A materialized view extent, keyed by individual *name*. Carries the
+/// same secondary indexes as [`AboxIndex`], so one extent serves every
+/// binding pattern.
 ///
 /// Invariant: every `by_subject`, `by_object` and `by_value` key has a
 /// non-empty bucket (`remove_pair` drops emptied ones), so an extent
@@ -492,24 +490,6 @@ pub fn build_extent(def: &ViewDef, abox: &Abox, index: &AboxIndex) -> ViewExtent
     }
 }
 
-/// Merges per-shard partial extents into one (ordered concatenation
-/// then sort + dedup — byte-identical regardless of shard count).
-pub fn merge_extents(parts: &[Arc<ViewExtent>]) -> ViewExtent {
-    if parts.iter().any(|p| !p.members.is_empty()) {
-        let mut members = Vec::new();
-        for p in parts {
-            members.extend(p.members.iter().cloned());
-        }
-        ViewExtent::from_members(members)
-    } else {
-        let mut pairs = Vec::new();
-        for p in parts {
-            pairs.extend(p.pairs.iter().cloned());
-        }
-        ViewExtent::from_pairs(pairs)
-    }
-}
-
 /// The pair of epochs data-derived caches depend on. The rewrite cache
 /// is keyed on the TBox epoch alone (rewritings never read the ABox);
 /// memoized view extents depend on both components — `tbox` moves on
@@ -524,9 +504,8 @@ pub struct DataEpoch {
     pub abox: u64,
 }
 
-/// Epoch-guarded memo of materialized view extents. Shared by the
-/// unsharded systems (whole-ABox extents), each shard (shard-local
-/// partial extents) and the sharded coordinator (merged extents).
+/// Epoch-guarded memo of materialized view extents, one per system
+/// (whole-ABox extents).
 #[derive(Debug, Default)]
 pub struct ViewMemo {
     epoch: DataEpoch,
@@ -567,12 +546,6 @@ impl ViewMemo {
     /// copies only when one does.
     pub(crate) fn take(&mut self, pred: &ViewPred) -> Option<Arc<ViewExtent>> {
         self.extents.remove(pred)
-    }
-
-    /// Drops one memoized extent (targeted invalidation). Returns
-    /// whether it was present.
-    pub(crate) fn remove(&mut self, pred: &ViewPred) -> bool {
-        self.extents.remove(pred).is_some()
     }
 }
 
@@ -652,7 +625,7 @@ pub fn eval_skeletons(
 /// before duplicates are dropped. Matches append borrowed names to one
 /// row buffer; after the last skeleton the rows are sorted, deduplicated
 /// and only then named.
-pub(crate) fn join_skeletons(
+fn join_skeletons(
     queries: &[ViewQuery],
     extents: &HashMap<ViewPred, Arc<ViewExtent>>,
 ) -> (Answers, JoinWork) {

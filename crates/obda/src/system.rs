@@ -14,10 +14,7 @@
 //!   until [`ObdaSystem::invalidate_abox`].
 //!
 //! PerfectRef rewritings are subsumption-pruned before caching (set
-//! `QUONTO_NO_PRUNE=1` to keep the raw UCQ for cross-checking), and the
-//! materialized evaluation shards disjuncts over scoped threads
-//! (`with_eval_threads`, default from `QUONTO_THREADS`, `0` = all
-//! cores).
+//! `QUONTO_NO_PRUNE=1` to keep the raw UCQ for cross-checking).
 //!
 //! ## Tracing
 //!
@@ -68,7 +65,7 @@ use obda_obs::{registry, span, Counter, Histogram, TraceCtx, TraceSink};
 use obda_sqlstore::Database;
 use quonto::Classification;
 
-use crate::answer::{evaluate_ucq_parallel_traced, AboxIndex, Answers, JoinWork};
+use crate::answer::{evaluate_ucq_traced, AboxIndex, Answers, JoinWork};
 use crate::consistency::{check_consistency, Violation};
 use crate::delta::{
     apply_to_store, maintain_memo, record_batch, resolve_delta, AboxDelta, DeltaSummary,
@@ -177,7 +174,7 @@ const REWRITE_CACHE_CAP: usize = 1024;
 /// subsumption-pruned UCQ plus the pre-pruning disjunct count (for the
 /// trace counters).
 #[derive(Debug, Clone)]
-pub(crate) enum CachedRewriting {
+enum CachedRewriting {
     PerfectRef { ucq: Ucq, raw_len: usize },
     Presto(PrestoRewriting),
     Ndl(NdlProgram),
@@ -216,14 +213,14 @@ impl RewriteCacheStats {
 /// epoch. Entries are shared via `Arc` so a hit is a pointer clone, not
 /// a deep copy of a possibly-large UCQ.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct RewriteCache {
-    pub(crate) epoch: u64,
+struct RewriteCache {
+    epoch: u64,
     entries: HashMap<(RewritingMode, ConjunctiveQuery), Arc<CachedRewriting>>,
     /// The TBox's PI index, built by the epoch's first PerfectRef miss
     /// and shared by every later one (whether or not entries are
     /// cached: it depends on the TBox alone).
     pi_index: Option<Arc<PiIndex>>,
-    pub(crate) stats: RewriteCacheStats,
+    stats: RewriteCacheStats,
     /// EBox generation the cached entries were rewritten under. Pruned
     /// rewritings are only sound for the constraints they were pruned
     /// with, so a generation mismatch clears the entries — without
@@ -237,17 +234,14 @@ impl RewriteCache {
     /// Aligns the cache with the EBox generation of the caller's
     /// constraint snapshot, dropping entries pruned under another
     /// generation.
-    pub(crate) fn sync_ebox_gen(&mut self, gen: u64) {
+    fn sync_ebox_gen(&mut self, gen: u64) {
         if self.ebox_gen != gen {
             self.entries.clear();
             self.ebox_gen = gen;
         }
     }
 
-    pub(crate) fn get(
-        &mut self,
-        key: &(RewritingMode, ConjunctiveQuery),
-    ) -> Option<Arc<CachedRewriting>> {
+    fn get(&mut self, key: &(RewritingMode, ConjunctiveQuery)) -> Option<Arc<CachedRewriting>> {
         let hit = self.entries.get(key).map(Arc::clone);
         if hit.is_some() {
             self.stats.hits = self.stats.hits.saturating_add(1);
@@ -255,11 +249,7 @@ impl RewriteCache {
         hit
     }
 
-    pub(crate) fn insert(
-        &mut self,
-        key: (RewritingMode, ConjunctiveQuery),
-        value: Arc<CachedRewriting>,
-    ) {
+    fn insert(&mut self, key: (RewritingMode, ConjunctiveQuery), value: Arc<CachedRewriting>) {
         self.stats.misses = self.stats.misses.saturating_add(1);
         if self.entries.len() >= REWRITE_CACHE_CAP {
             self.entries.clear();
@@ -268,40 +258,23 @@ impl RewriteCache {
     }
 
     /// The current epoch's PI index of `tbox`, built on first use.
-    pub(crate) fn pi_index(&mut self, tbox: &Tbox) -> Arc<PiIndex> {
+    fn pi_index(&mut self, tbox: &Tbox) -> Arc<PiIndex> {
         Arc::clone(
             self.pi_index
                 .get_or_insert_with(|| Arc::new(tbox.pi_index())),
         )
     }
 
-    pub(crate) fn invalidate(&mut self) {
+    fn invalidate(&mut self) {
         self.epoch += 1;
         self.entries.clear();
         self.pi_index = None;
     }
 }
 
-/// Default evaluation-thread knob: `QUONTO_THREADS` if set and numeric,
-/// else 1 (sequential). `0` means "all available cores", matching the
-/// convention of `quonto`'s parallel closure engines.
-fn default_eval_threads() -> usize {
-    quonto::env::eval_threads().unwrap_or(1)
-}
-
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
 /// Registry handles bumped once per answered query; resolved once so
 /// the hot path is two relaxed atomic ops.
-pub(crate) fn query_metrics() -> &'static (Arc<Counter>, Arc<Histogram>) {
+fn query_metrics() -> &'static (Arc<Counter>, Arc<Histogram>) {
     static METRICS: OnceLock<(Arc<Counter>, Arc<Histogram>)> = OnceLock::new();
     METRICS.get_or_init(|| {
         (
@@ -340,9 +313,8 @@ fn rewrite_perfectref_pruned_traced(
 // Registry handle for the capped-prune counter, resolved once.
 obda_obs::counter_handle!(fn prune_capped_total, "rewrite_prune_capped");
 
-/// Untraced variant over a freshly built PI index, kept for `explain`
-/// and external callers.
-pub(crate) fn rewrite_perfectref_pruned(q: &ConjunctiveQuery, tbox: &Tbox) -> (Ucq, usize) {
+/// Untraced variant over a freshly built PI index, kept for `explain`.
+fn rewrite_perfectref_pruned(q: &ConjunctiveQuery, tbox: &Tbox) -> (Ucq, usize) {
     rewrite_perfectref_pruned_traced(q, &tbox.pi_index(), &TraceCtx::disabled())
 }
 
@@ -406,7 +378,7 @@ fn ebox_prune_perfectref(q: &ConjunctiveQuery, ucq: Ucq, ebox: &Ebox, ctx: &Trac
 /// with the data snapshot it will evaluate against) and `ebox_gen` its
 /// generation, keying cache validity.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rewrite_with_cache_traced(
+fn rewrite_with_cache_traced(
     cache: &Mutex<RewriteCache>,
     cache_enabled: bool,
     mode: RewritingMode,
@@ -507,8 +479,6 @@ pub struct ObdaSystem {
     abox_version: AtomicU64,
     /// Whether rewritings are cached at all (builder toggle).
     cache_enabled: bool,
-    /// UCQ evaluation threads (0 = all cores).
-    eval_threads: usize,
     /// EBox knob: off (default), on (mapping-level constraints), or
     /// infer (additionally scan the materialized index).
     ebox_mode: EboxMode,
@@ -535,7 +505,6 @@ impl Clone for ObdaSystem {
             ndl_memo: Mutex::new(ViewMemo::default()),
             abox_version: AtomicU64::new(self.abox_version.load(Ordering::Relaxed)),
             cache_enabled: self.cache_enabled,
-            eval_threads: self.eval_threads,
             ebox_mode: self.ebox_mode,
             ebox: Mutex::new(lock_or_recover(&self.ebox).clone()),
             sink: Arc::clone(&self.sink),
@@ -565,7 +534,6 @@ impl ObdaSystem {
             ndl_memo: Mutex::new(ViewMemo::default()),
             abox_version: AtomicU64::new(0),
             cache_enabled: true,
-            eval_threads: default_eval_threads(),
             ebox_mode: EboxMode::Off,
             ebox: Mutex::new(EboxState::default()),
             sink: obda_obs::sink::from_env(),
@@ -611,13 +579,6 @@ impl ObdaSystem {
     /// Switches the data-access mode.
     pub fn with_data_mode(mut self, mode: DataMode) -> Self {
         self.data = mode;
-        self
-    }
-
-    /// Sets the number of threads for materialized UCQ evaluation
-    /// (`0` = all available cores).
-    pub fn with_eval_threads(mut self, threads: usize) -> Self {
-        self.eval_threads = threads;
         self
     }
 
@@ -675,11 +636,6 @@ impl ObdaSystem {
     /// Current TBox epoch (bumped by [`Self::invalidate_rewrites`]).
     pub fn tbox_epoch(&self) -> u64 {
         lock_or_recover(&self.rewrite_cache).epoch
-    }
-
-    /// Configured UCQ evaluation threads (0 = all cores).
-    pub fn eval_threads(&self) -> usize {
-        self.eval_threads
     }
 
     /// Returns the shared materialized ABox + index, building it on
@@ -804,7 +760,6 @@ impl ObdaSystem {
             ebox_gen,
             ctx,
         );
-        let threads = resolve_threads(self.eval_threads);
         // lint: allow(R1.expect, "`mat` is Some exactly in materialized mode, matched below")
         let require_mat = || mat.as_ref().expect("materialized snapshot present");
         let answers = match (&*rw, self.data) {
@@ -813,7 +768,7 @@ impl ObdaSystem {
             }
             (CachedRewriting::PerfectRef { ucq, .. }, DataMode::Materialized) => {
                 let mat = require_mat();
-                evaluate_ucq_parallel_traced(ucq, &mat.abox, &mat.index, threads, ctx)
+                evaluate_ucq_traced(ucq, &mat.abox, &mat.index, ctx)
             }
             (CachedRewriting::Presto(rw), DataMode::Virtual) => answer_presto_virtual_traced(
                 rw,
@@ -826,7 +781,6 @@ impl ObdaSystem {
             (CachedRewriting::Presto(rw), DataMode::Materialized) => {
                 let mat = require_mat();
                 let guard = span!(ctx, "eval");
-                guard.count("threads", 1);
                 guard.count("disjuncts", rw.len() as u64);
                 let mut answers = Answers::new();
                 let mut work = JoinWork::default();
@@ -1074,7 +1028,7 @@ impl QueryEngine for ObdaSystem {
                 &applied,
                 &self.classification,
                 &mat.abox,
-                Some(&mat.index),
+                &mat.index,
             );
             g.count("fallbacks", fb);
             fb
@@ -1110,10 +1064,8 @@ impl QueryEngine for ObdaSystem {
         EngineStats {
             rewriting: self.rewriting.as_str(),
             data: self.data.as_str(),
-            eval_threads: self.eval_threads,
             tbox_epoch: self.tbox_epoch(),
             rewrite_cache: self.rewrite_cache_stats(),
-            shards: 1,
             ebox: self.ebox_mode.as_str(),
             ebox_constraints: self.ebox_constraints(),
         }
@@ -1148,11 +1100,11 @@ impl QueryEngine for ObdaSystem {
 /// fields atomically — a reader can never pair a patched index with a
 /// pre-batch version.
 #[derive(Debug, Clone)]
-pub(crate) struct AboxData {
-    pub(crate) abox: Abox,
-    pub(crate) index: AboxIndex,
+struct AboxData {
+    abox: Abox,
+    index: AboxIndex,
     /// Bumped by every delta batch and every [`AboxSystem::mutate_abox`].
-    pub(crate) version: u64,
+    version: u64,
 }
 
 /// An ABox-backed system (no mappings/SQL): the simple entry point used
@@ -1176,11 +1128,9 @@ pub struct AboxSystem {
     /// folded into PerfectRef here (no mappings to unfold through).
     rewriting: RewritingMode,
     rewrite_cache: Mutex<RewriteCache>,
-    /// Memoized NDL view extents (whole-ABox extents unsharded; partial
-    /// shard-local extents when this system is one shard).
+    /// Memoized NDL view extents.
     ndl_memo: Mutex<ViewMemo>,
     cache_enabled: bool,
-    eval_threads: usize,
     /// EBox knob: `Infer` scans the index for constraints; `On` has no
     /// mapping-level source here and starts empty.
     ebox_mode: EboxMode,
@@ -1201,7 +1151,6 @@ impl Clone for AboxSystem {
             // The clone starts with a cold extent memo (it's a cache).
             ndl_memo: Mutex::new(ViewMemo::default()),
             cache_enabled: self.cache_enabled,
-            eval_threads: self.eval_threads,
             ebox_mode: self.ebox_mode,
             ebox: Mutex::new(lock_or_recover(&self.ebox).clone()),
             sink: Arc::clone(&self.sink),
@@ -1213,13 +1162,6 @@ impl AboxSystem {
     /// Classifies the TBox, wraps and indexes the ABox.
     pub fn new(tbox: Tbox, abox: Abox) -> Self {
         let classification = Classification::classify(&tbox);
-        Self::with_classification(tbox, classification, abox)
-    }
-
-    /// Like [`Self::new`] but reusing an existing classification — the
-    /// sharded engine builds N shard systems over one TBox and must not
-    /// classify it N times.
-    pub fn with_classification(tbox: Tbox, classification: Classification, abox: Abox) -> Self {
         let index = AboxIndex::build(&abox);
         AboxSystem {
             tbox,
@@ -1233,7 +1175,6 @@ impl AboxSystem {
             rewrite_cache: Mutex::new(RewriteCache::default()),
             ndl_memo: Mutex::new(ViewMemo::default()),
             cache_enabled: true,
-            eval_threads: default_eval_threads(),
             ebox_mode: EboxMode::Off,
             ebox: Mutex::new(EboxState::default()),
             sink: obda_obs::sink::from_env(),
@@ -1284,24 +1225,6 @@ impl AboxSystem {
         (state.snapshot(), state.generation)
     }
 
-    /// The full current constraint set (possibly empty) — the sharded
-    /// coordinator intersects these across its shards.
-    pub(crate) fn ebox_current(&self) -> Arc<Ebox> {
-        Arc::clone(&lock_or_recover(&self.ebox).ebox)
-    }
-
-    /// Runs `f` with a shared read lock over the ABox + index + version
-    /// (shard-side evaluation and the stats path read through this).
-    pub(crate) fn with_data<R>(&self, f: impl FnOnce(&AboxData) -> R) -> R {
-        f(&read_or_recover(&self.data))
-    }
-
-    /// Sets the number of threads for UCQ evaluation (`0` = all cores).
-    pub fn with_eval_threads(mut self, threads: usize) -> Self {
-        self.eval_threads = threads;
-        self
-    }
-
     /// Enables/disables the rewrite cache.
     pub fn with_rewrite_cache(mut self, enabled: bool) -> Self {
         self.cache_enabled = enabled;
@@ -1312,11 +1235,6 @@ impl AboxSystem {
     pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.sink = sink;
         self
-    }
-
-    /// Configured UCQ evaluation threads (0 = all cores).
-    pub fn eval_threads(&self) -> usize {
-        self.eval_threads
     }
 
     /// Mutates the ABox arbitrarily under the write lock, then rebuilds
@@ -1355,29 +1273,10 @@ impl AboxSystem {
         read_or_recover(&self.data).version
     }
 
-    /// The memoized (or freshly built) extent of one NDL view over this
-    /// system's ABox — the sharded engine calls this per shard, so each
-    /// shard's partial extents are memoized shard-locally.
-    pub(crate) fn ndl_partial_extent(
-        &self,
-        def: &crate::rewrite::ndl::ViewDef,
-    ) -> Arc<crate::rewrite::ndl::ViewExtent> {
-        let data = read_or_recover(&self.data);
-        let epoch = DataEpoch {
-            tbox: lock_or_recover(&self.rewrite_cache).epoch,
-            abox: data.version,
-        };
-        crate::rewrite::ndl::memoized_extent(&self.ndl_memo, epoch, def.pred(), || {
-            crate::rewrite::ndl::build_extent(def, &data.abox, &data.index)
-        })
-        .0
-    }
-
-    /// Applies pre-resolved delta facts to this system's store and view
-    /// memo: the shared write core reused verbatim by the sharded engine
-    /// (which resolves once at the coordinator and routes the facts).
-    /// Deletes apply before inserts; returns the per-batch summary.
-    pub(crate) fn apply_resolved_traced(
+    /// Applies resolved delta facts to this system's store and view
+    /// memo under the data write lock. Deletes apply before inserts;
+    /// returns the per-batch summary.
+    fn apply_resolved_traced(
         &self,
         inserts: &[ResolvedFact],
         deletes: &[ResolvedFact],
@@ -1406,7 +1305,7 @@ impl AboxSystem {
                 &applied,
                 &self.classification,
                 &data.abox,
-                Some(&data.index),
+                &data.index,
             );
             g.count("fallbacks", fb);
             fb
@@ -1469,17 +1368,17 @@ impl AboxSystem {
         .unwrap_or_default()
     }
 
-    /// The traced answering core: rewrite (shared front door with
-    /// [`ObdaSystem`]) then indexed parallel evaluation.
     /// The rewriting mode actually answered with: NDL stays NDL, Presto
     /// folds into PerfectRef (no mappings to unfold through).
-    pub(crate) fn effective_rewriting(&self) -> RewritingMode {
+    fn effective_rewriting(&self) -> RewritingMode {
         match self.rewriting {
             RewritingMode::Ndl => RewritingMode::Ndl,
             _ => RewritingMode::PerfectRef,
         }
     }
 
+    /// The traced answering core: rewrite (shared front door with
+    /// [`ObdaSystem`]) then indexed evaluation.
     fn eval_cq_traced(&self, q: &ConjunctiveQuery, ctx: &TraceCtx) -> Answers {
         let started = Instant::now();
         let mode = self.effective_rewriting();
@@ -1503,8 +1402,7 @@ impl AboxSystem {
         );
         let answers = match &*rw {
             CachedRewriting::PerfectRef { ucq, .. } => {
-                let threads = resolve_threads(self.eval_threads);
-                evaluate_ucq_parallel_traced(ucq, &data.abox, &data.index, threads, ctx)
+                evaluate_ucq_traced(ucq, &data.abox, &data.index, ctx)
             }
             CachedRewriting::Ndl(prog) => {
                 // The read lock pins abox+index+version together, so the
@@ -1561,10 +1459,8 @@ impl QueryEngine for AboxSystem {
         EngineStats {
             rewriting: self.effective_rewriting().as_str(),
             data: "Abox",
-            eval_threads: self.eval_threads,
             tbox_epoch: cache.epoch,
             rewrite_cache: cache.stats,
-            shards: 1,
             ebox: self.ebox_mode.as_str(),
             ebox_constraints: lock_or_recover(&self.ebox).ebox.constraint_count(),
         }

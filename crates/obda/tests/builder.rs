@@ -17,15 +17,12 @@ fn explicit_config_wins_over_env_knobs() {
     let abox = random_abox(7, &tbox, 3, 8);
 
     // lint: allow(R4.read, "the test exercises the env-default path itself; the knob literal is the subject under test")
-    std::env::set_var("QUONTO_THREADS", "3");
-    // lint: allow(R4.read, "same: selects the stderr sink to prove the builder overrides it")
     std::env::set_var("QUONTO_TIMINGS", "1");
     // lint: allow(R4.read, "same: proves QUONTO_EBOX is the fallback layer under explicit settings")
     std::env::set_var("QUONTO_EBOX", "infer");
 
     // Unset config options inherit the env defaults at build time.
     let from_env = EngineConfig::new().build_abox(tbox.clone(), abox.clone());
-    assert_eq!(from_env.stats().eval_threads, 3);
     assert_eq!(from_env.stats().ebox, "infer");
     assert!(
         from_env.trace_sink().enabled(),
@@ -34,11 +31,9 @@ fn explicit_config_wins_over_env_knobs() {
 
     // Explicit config options beat the same knobs.
     let explicit = EngineConfig::new()
-        .eval_threads(7)
         .ebox(EboxMode::Off)
         .trace(SinkKind::Off)
         .build_abox(tbox.clone(), abox.clone());
-    assert_eq!(explicit.stats().eval_threads, 7);
     assert_eq!(
         explicit.stats().ebox,
         "off",
@@ -53,16 +48,23 @@ fn explicit_config_wins_over_env_knobs() {
     // config — identical layering, pinned here until the shims go.
     #[allow(deprecated)]
     let shimmed = SystemBuilder::new()
-        .eval_threads(7)
         .trace(SinkKind::Off)
         .build_abox(tbox.clone(), abox.clone());
-    assert_eq!(shimmed.stats().eval_threads, 7);
     assert_eq!(
         shimmed.stats().ebox,
         "infer",
         "shim leaves ebox unset, so the knob still applies"
     );
     assert!(!shimmed.trace_sink().enabled());
+    #[allow(deprecated)]
+    let wrapped = SystemBuilder::from_config(EngineConfig::new().ebox(EboxMode::On))
+        .trace(SinkKind::Off)
+        .build_abox(tbox.clone(), abox.clone());
+    assert_eq!(
+        wrapped.stats().ebox,
+        "on",
+        "the wrapped config's ebox must win over QUONTO_EBOX=infer"
+    );
 
     // A malformed QUONTO_EBOX value is a validation error, not a
     // silent fallback to off.
@@ -73,13 +75,10 @@ fn explicit_config_wins_over_env_knobs() {
 
     // With the knobs gone, the documented fallbacks apply.
     // lint: allow(R4.read, "restores the env for the rest of the process")
-    std::env::remove_var("QUONTO_THREADS");
-    // lint: allow(R4.read, "restores the env for the rest of the process")
     std::env::remove_var("QUONTO_TIMINGS");
     // lint: allow(R4.read, "restores the env for the rest of the process")
     std::env::remove_var("QUONTO_EBOX");
     let bare = EngineConfig::new().build_abox(tbox, abox);
-    assert_eq!(bare.stats().eval_threads, 1);
     assert_eq!(bare.stats().ebox, "off");
     assert!(!bare.trace_sink().enabled());
 }

@@ -5,8 +5,6 @@
 //!
 //! The matrix covers:
 //!
-//! * unsharded [`mastro::AboxSystem`] and [`mastro::ShardedAboxSystem`]
-//!   at 2/4/8 shards;
 //! * UCQ (PerfectRef) and NDL rewriting — the NDL runs exercise the
 //!   memoized view extents' incremental maintenance;
 //! * warm and cold memo: warm runs query *between* batches (so deltas
@@ -17,8 +15,7 @@
 //!   subject must keep the subject in `∃p`-derived concept answers.
 
 use mastro::{
-    parse_cq, AboxDelta, AboxSystem, ConjunctiveQuery, DeltaStatement, RewritingMode,
-    ShardedAboxSystem,
+    parse_cq, AboxDelta, AboxSystem, ConjunctiveQuery, DeltaStatement, QueryEngine, RewritingMode,
 };
 use obda_dllite::{Abox, Assertion, Tbox, Value};
 use obda_genont::{churn_stream, university_scenario, ChurnFact, ChurnOp};
@@ -114,44 +111,14 @@ fn shadow_apply(tbox: &Tbox, shadow: &mut Abox, deletes: &[ChurnFact], inserts: 
     }
 }
 
-/// One engine under test: unsharded or sharded, behind a common answer
-/// surface.
-enum Engine {
-    Plain(Box<AboxSystem>),
-    Sharded(Box<ShardedAboxSystem>),
-}
-
-impl Engine {
-    fn build(tbox: Tbox, abox: Abox, mode: RewritingMode, shards: usize) -> Engine {
-        if shards <= 1 {
-            Engine::Plain(Box::new(AboxSystem::new(tbox, abox).with_rewriting(mode)))
-        } else {
-            Engine::Sharded(Box::new(
-                ShardedAboxSystem::new(tbox, abox, shards).with_rewriting(mode),
-            ))
-        }
-    }
-
-    fn apply(&self, delta: &AboxDelta) {
-        use mastro::QueryEngine;
-        match self {
-            Engine::Plain(s) => s.apply_delta(delta).expect("apply"),
-            Engine::Sharded(s) => s.apply_delta(delta).expect("apply"),
-        };
-    }
-
-    fn answer(&self, q: &ConjunctiveQuery) -> mastro::Answers {
-        match self {
-            Engine::Plain(s) => s.answer_cq(q),
-            Engine::Sharded(s) => s.answer_cq(q),
-        }
-    }
+fn engine(tbox: Tbox, abox: Abox, mode: RewritingMode) -> AboxSystem {
+    AboxSystem::new(tbox, abox).with_rewriting(mode)
 }
 
 /// The core property: replay a churn stream in random batches against
 /// an incremental engine; at every checkpoint its answers must be
 /// byte-identical to a from-scratch rebuild over the shadow ABox.
-fn check_interleaving(mode: RewritingMode, shards: usize, seed: u64, warm: bool) {
+fn check_interleaving(mode: RewritingMode, seed: u64, warm: bool) {
     let scenario = university_scenario(1, seed);
     let base = mastro::demo::build_system(&scenario)
         .expect("build")
@@ -166,7 +133,7 @@ fn check_interleaving(mode: RewritingMode, shards: usize, seed: u64, warm: bool)
         .map(|q| parse_cq(&q.text, &tbox.sig).expect("scenario query parses"))
         .collect();
 
-    let engine = Engine::build(tbox.clone(), base.clone(), mode, shards);
+    let sys = engine(tbox.clone(), base.clone(), mode);
     let mut shadow = base;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
     let stream = churn_stream(1, seed, 96);
@@ -191,7 +158,7 @@ fn check_interleaving(mode: RewritingMode, shards: usize, seed: u64, warm: bool)
                 }
             }
         }
-        engine.apply(&delta);
+        sys.apply_delta(&delta).expect("apply");
         shadow_apply(&tbox, &mut shadow, &del, &ins);
 
         // Warm runs keep the memo live by querying after every batch;
@@ -199,11 +166,11 @@ fn check_interleaving(mode: RewritingMode, shards: usize, seed: u64, warm: bool)
         // never populated for the epochs in between).
         if warm || cursor % 3 == 0 {
             let q = &queries[rng.gen_range(0..queries.len())];
-            let reference = Engine::build(tbox.clone(), shadow.clone(), mode, shards);
+            let reference = engine(tbox.clone(), shadow.clone(), mode);
             assert_eq!(
-                engine.answer(q),
-                reference.answer(q),
-                "{mode:?}/{shards} shards diverged after {cursor} ops on {q:?}"
+                sys.answer_cq(q),
+                reference.answer_cq(q),
+                "{mode:?} diverged after {cursor} ops on {q:?}"
             );
             checked += 1;
         }
@@ -213,30 +180,14 @@ fn check_interleaving(mode: RewritingMode, shards: usize, seed: u64, warm: bool)
 
 #[test]
 fn ucq_incremental_matches_rebuild_unsharded() {
-    check_interleaving(RewritingMode::PerfectRef, 1, 11, true);
-    check_interleaving(RewritingMode::PerfectRef, 1, 12, false);
+    check_interleaving(RewritingMode::PerfectRef, 11, true);
+    check_interleaving(RewritingMode::PerfectRef, 12, false);
 }
 
 #[test]
 fn ndl_incremental_matches_rebuild_unsharded() {
-    check_interleaving(RewritingMode::Ndl, 1, 21, true);
-    check_interleaving(RewritingMode::Ndl, 1, 22, false);
-}
-
-#[test]
-fn ucq_incremental_matches_rebuild_sharded() {
-    for shards in [2, 4, 8] {
-        check_interleaving(RewritingMode::PerfectRef, shards, 31 + shards as u64, true);
-    }
-}
-
-#[test]
-fn ndl_incremental_matches_rebuild_sharded() {
-    for shards in [2, 4, 8] {
-        check_interleaving(RewritingMode::Ndl, shards, 41 + shards as u64, true);
-    }
-    // One cold-memo sharded run.
-    check_interleaving(RewritingMode::Ndl, 4, 49, false);
+    check_interleaving(RewritingMode::Ndl, 21, true);
+    check_interleaving(RewritingMode::Ndl, 22, false);
 }
 
 /// The delete-soundness corner the targeted invalidation exists for:
@@ -258,42 +209,43 @@ fn deleting_one_of_two_role_pairs_keeps_the_subject_in_exists() {
     let ind = "person/exists-corner";
 
     for mode in [RewritingMode::PerfectRef, RewritingMode::Ndl] {
-        for shards in [1, 4] {
-            let engine = Engine::build(tbox.clone(), base.clone(), mode, shards);
-            let baseline = engine.answer(&q);
-            assert!(!baseline.iter().any(|t| t[0].to_string().contains(ind)));
+        let sys = engine(tbox.clone(), base.clone(), mode);
+        let baseline = sys.answer_cq(&q);
+        assert!(!baseline.iter().any(|t| t[0].to_string().contains(ind)));
 
-            // Two pairs, warm the memo, then delete one.
-            engine.apply(
-                &AboxDelta::new()
-                    .insert(DeltaStatement::binary("takesCourse", ind, "course/0"))
-                    .insert(DeltaStatement::binary("takesCourse", ind, "course/1")),
-            );
-            let with_both = engine.answer(&q);
-            assert_eq!(with_both.len(), baseline.len() + 1, "{mode:?}/{shards}");
+        // Two pairs, warm the memo, then delete one.
+        sys.apply_delta(
+            &AboxDelta::new()
+                .insert(DeltaStatement::binary("takesCourse", ind, "course/0"))
+                .insert(DeltaStatement::binary("takesCourse", ind, "course/1")),
+        )
+        .expect("apply");
+        let with_both = sys.answer_cq(&q);
+        assert_eq!(with_both.len(), baseline.len() + 1, "{mode:?}");
 
-            engine.apply(&AboxDelta::new().delete(DeltaStatement::binary(
-                "takesCourse",
-                ind,
-                "course/0",
-            )));
-            assert_eq!(
-                engine.answer(&q),
-                with_both,
-                "{mode:?}/{shards}: subject must survive while one pair remains"
-            );
+        sys.apply_delta(&AboxDelta::new().delete(DeltaStatement::binary(
+            "takesCourse",
+            ind,
+            "course/0",
+        )))
+        .expect("apply");
+        assert_eq!(
+            sys.answer_cq(&q),
+            with_both,
+            "{mode:?}: subject must survive while one pair remains"
+        );
 
-            engine.apply(&AboxDelta::new().delete(DeltaStatement::binary(
-                "takesCourse",
-                ind,
-                "course/1",
-            )));
-            assert_eq!(
-                engine.answer(&q),
-                baseline,
-                "{mode:?}/{shards}: subject must drop with its last pair"
-            );
-        }
+        sys.apply_delta(&AboxDelta::new().delete(DeltaStatement::binary(
+            "takesCourse",
+            ind,
+            "course/1",
+        )))
+        .expect("apply");
+        assert_eq!(
+            sys.answer_cq(&q),
+            baseline,
+            "{mode:?}: subject must drop with its last pair"
+        );
     }
 }
 
@@ -301,7 +253,6 @@ fn deleting_one_of_two_role_pairs_keeps_the_subject_in_exists() {
 /// lands, and the engine keeps answering.
 #[test]
 fn bad_batches_are_rejected_atomically() {
-    use mastro::QueryEngine;
     let scenario = university_scenario(1, 3);
     let base = mastro::demo::build_system(&scenario)
         .expect("build")

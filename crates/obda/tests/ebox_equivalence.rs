@@ -1,6 +1,6 @@
 //! Equivalence properties for EBox constraint-aware pruning: enabling
 //! the EBox must never change an answer, only the amount of rewriting
-//! work performed. Three properties pin that down:
+//! work performed. Two properties pin that down:
 //!
 //! * **Random ontologies**: on random positive-only TBoxes and ABoxes,
 //!   an `Infer`-mode engine, an `Off`-mode engine, and the independent
@@ -10,14 +10,11 @@
 //! * **Constraint-invalidating writes**: a delta that asserts a fact
 //!   for a predicate the EBox marked empty must retract the stale
 //!   constraint *and* keep the engine byte-identical to a system
-//!   rebuilt (constraints re-inferred) from the post-write fact set.
-//! * **Sharded = unsharded**: the sharded coordinator with its
-//!   intersected, subject-local EBox must agree with the unsharded
-//!   engine under churn, query by query.
+//!   rebuilt (constraints re-inferred) from the post-write fact set,
+//!   also across a whole churn stream.
 
 use mastro::{
     parse_cq, AboxDelta, AboxSystem, AnswerTerm, Answers, DeltaStatement, EboxMode, QueryEngine,
-    ShardedAboxSystem,
 };
 use obda_dllite::{Abox, Assertion, ConceptId, RoleId, Signature, Tbox, Value};
 use obda_genont::{churn_stream, random_abox, random_tbox, university_scenario, ChurnFact};
@@ -379,55 +376,4 @@ fn churn_stream_keeps_infer_engine_rebuild_identical() {
         checkpoints >= 5,
         "stream sliced too coarsely: {checkpoints}"
     );
-}
-
-#[test]
-fn sharded_matches_unsharded_under_ebox() {
-    let (tbox, abox) = university_abox(1, 37);
-    let plain = AboxSystem::new(tbox.clone(), abox.clone()).with_ebox_mode(EboxMode::Infer);
-    let sharded = ShardedAboxSystem::new(tbox.clone(), abox, 4).with_ebox_mode(EboxMode::Infer);
-    assert_eq!(sharded.ebox_mode(), EboxMode::Infer);
-    let stats = sharded.stats();
-    assert_eq!(stats.ebox, "infer");
-    assert!(
-        stats.ebox_constraints > 0,
-        "the coordinator must hold an intersected, subject-local EBox"
-    );
-
-    let queries = scenario_queries(1, 37, &tbox.sig);
-    for (name, q) in &queries {
-        assert_eq!(
-            plain.answer_cq(q),
-            sharded.answer_cq(q),
-            "{name}: sharded diverged before any write"
-        );
-    }
-
-    // Replay churn through both engines; the coordinator's conservative
-    // retract-then-revalidate path must stay answer-identical to the
-    // unsharded engine's precise one at every checkpoint.
-    let stream = churn_stream(1, 37, 64);
-    let mut rng = SmallRng::seed_from_u64(0x5AAB);
-    let mut i = 0;
-    while i < stream.len() {
-        let take = rng.gen_range(1usize..=9).min(stream.len() - i);
-        let mut delta = AboxDelta::new();
-        for op in &stream[i..i + take] {
-            delta = if op.is_insert() {
-                delta.insert(to_statement(op.fact()))
-            } else {
-                delta.delete(to_statement(op.fact()))
-            };
-        }
-        i += take;
-        plain.apply_delta(&delta).expect("plain applies");
-        sharded.apply_delta(&delta).expect("sharded applies");
-        for (name, q) in &queries {
-            assert_eq!(
-                plain.answer_cq(q),
-                sharded.answer_cq(q),
-                "{name}: sharded diverged after {i} churn ops"
-            );
-        }
-    }
 }

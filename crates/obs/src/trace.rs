@@ -63,7 +63,7 @@ impl CtxInner {
 }
 
 /// A query-scoped trace context. Cheap to clone (an `Arc` bump) and
-/// safe to share across the eval worker threads of one query.
+/// safe to share across threads.
 #[derive(Debug, Clone, Default)]
 pub struct TraceCtx {
     inner: Option<Arc<CtxInner>>,
@@ -147,39 +147,6 @@ impl TraceCtx {
     pub fn set_query(&self, text: impl Into<String>) {
         let Some(inner) = &self.inner else { return };
         lock_or_recover(&inner.state).query = Some(text.into());
-    }
-
-    /// Microseconds since trace start (0 for a disabled context). Pair
-    /// with [`record_span`](Self::record_span) to time work on a thread
-    /// that must not take the context lock per event.
-    pub fn now_us(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.now_us())
-    }
-
-    /// Records an already-closed span post-hoc, at the current nesting
-    /// depth plus one (a child of whatever span is open at record
-    /// time). Scatter/gather evaluation uses this: shard threads
-    /// bracket their work with [`now_us`](Self::now_us) and the
-    /// coordinator records one span per shard after the merge, so the
-    /// trace stays deterministic in shard order instead of reflecting
-    /// thread-scheduling races.
-    pub fn record_span(
-        &self,
-        name: &'static str,
-        start_us: u64,
-        dur_us: u64,
-        counters: Vec<(&'static str, u64)>,
-    ) {
-        let Some(inner) = &self.inner else { return };
-        let mut st = lock_or_recover(&inner.state);
-        let depth = u16::try_from(st.open.len()).unwrap_or(u16::MAX);
-        st.spans.push(SpanRecord {
-            name,
-            depth,
-            start_us,
-            dur_us: dur_us.max(1),
-            counters,
-        });
     }
 
     /// Seals the context into a [`QueryTrace`] (`None` when disabled).
@@ -322,7 +289,7 @@ impl QueryTrace {
             }
         };
         format!(
-            "mastro-timings rewriting={} data={} parse_ms={:.2} rewrite_ms={:.2} cache={} ucq={} pruned={} eval_ms={:.2} threads={} answers={}",
+            "mastro-timings rewriting={} data={} parse_ms={:.2} rewrite_ms={:.2} cache={} ucq={} pruned={} eval_ms={:.2} answers={}",
             self.tag("rewriting").unwrap_or("-"),
             self.tag("data").unwrap_or("-"),
             ms(self.span_us("parse")),
@@ -331,7 +298,6 @@ impl QueryTrace {
             self.counter("ucq_raw"),
             self.counter("ucq_pruned"),
             ms(eval_us),
-            self.counter("threads").max(1),
             self.rows,
         )
     }
@@ -472,27 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn post_hoc_spans_nest_under_the_open_span() {
-        let ctx = TraceCtx::new();
-        {
-            let _eval = ctx.span("eval");
-            let t0 = ctx.now_us();
-            ctx.record_span("shard0", t0, 5, vec![("disjuncts", 3)]);
-            ctx.record_span("shard1", t0, 7, vec![("disjuncts", 2)]);
-        }
-        let t = ctx.finish("ok", 0).expect("trace");
-        let names: Vec<_> = t.spans.iter().map(|s| (s.name, s.depth)).collect();
-        assert_eq!(names, vec![("eval", 0), ("shard0", 1), ("shard1", 1)]);
-        assert_eq!(t.counter("disjuncts"), 5);
-        assert_eq!(t.span_us("shard1"), 7);
-        // Disabled contexts stay inert.
-        let off = TraceCtx::disabled();
-        assert_eq!(off.now_us(), 0);
-        off.record_span("shard0", 0, 1, vec![]);
-        assert!(off.finish("ok", 0).is_none());
-    }
-
-    #[test]
     fn open_spans_are_closed_by_finish() {
         let ctx = TraceCtx::new();
         let guard = ctx.span("eval");
@@ -525,8 +470,7 @@ mod tests {
             r.count("ucq_pruned", 4);
         }
         {
-            let e = ctx.span("eval");
-            e.count("threads", 2);
+            let _eval = ctx.span("eval");
         }
         let t = ctx.finish("ok", 42).expect("trace");
         let line = t.timings_line();
@@ -534,7 +478,6 @@ mod tests {
         assert!(line.contains("cache=miss"));
         assert!(line.contains("ucq=12"));
         assert!(line.contains("pruned=4"));
-        assert!(line.contains("threads=2"));
         assert!(line.contains("answers=42"));
     }
 

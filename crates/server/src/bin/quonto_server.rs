@@ -3,13 +3,13 @@
 //! ```text
 //! quonto-server [--config server.json] [--addr HOST:PORT] [--workers N]
 //!               [--queue N] [--scale N] [--seed N] [--endpoint-kind university|university-abox]
-//!               [--shards N] [--exact-workers]
-//!               [--access-log] [--summary-s N] [--smoke]
+//!               [--exact-workers] [--access-log] [--summary-s N] [--smoke]
 //! ```
 //!
 //! With no `--config`, serves one endpoint named `uni` (generated
 //! university scenario, PerfectRef over the materialized ABox) on
-//! `127.0.0.1:7077`. Flags override the corresponding config fields.
+//! `127.0.0.1:7077`. Flags override the corresponding config fields; a
+//! malformed flag value prints the usage and exits with status 2.
 //! `--smoke` boots on an ephemeral port, answers one self-issued query
 //! plus `STATS`, then exits — the CI liveness check.
 
@@ -23,10 +23,17 @@ fn usage() -> ! {
     eprintln!(
         "usage: quonto-server [--config FILE] [--addr HOST:PORT] [--workers N] [--queue N]\n\
          \x20                    [--scale N] [--seed N] [--endpoint-kind university|university-abox]\n\
-         \x20                    [--shards N] [--exact-workers]\n\
-         \x20                    [--access-log] [--summary-s N] [--smoke]"
+         \x20                    [--exact-workers] [--access-log] [--summary-s N] [--smoke]"
     );
     std::process::exit(2);
+}
+
+/// Parses a numeric flag value, or prints the usage and exits.
+fn num<T: std::str::FromStr>(flag: &str, raw: String) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} needs a non-negative integer, got `{raw}`");
+        usage()
+    })
 }
 
 fn parse_args() -> (ServerConfig, bool) {
@@ -37,7 +44,6 @@ fn parse_args() -> (ServerConfig, bool) {
     let mut scale: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut kind: Option<EndpointKind> = None;
-    let mut shards: Option<usize> = None;
     let mut exact_workers = false;
     let mut access_log = false;
     let mut summary_s: Option<u64> = None;
@@ -63,10 +69,10 @@ fn parse_args() -> (ServerConfig, bool) {
                 }
             }
             "--addr" => addr = Some(val("--addr")),
-            "--workers" => workers = val("--workers").parse().ok(),
-            "--queue" => queue = val("--queue").parse().ok(),
-            "--scale" => scale = val("--scale").parse().ok(),
-            "--seed" => seed = val("--seed").parse().ok(),
+            "--workers" => workers = Some(num("--workers", val("--workers"))),
+            "--queue" => queue = Some(num("--queue", val("--queue"))),
+            "--scale" => scale = Some(num("--scale", val("--scale"))),
+            "--seed" => seed = Some(num("--seed", val("--seed"))),
             "--endpoint-kind" => {
                 kind = Some(match val("--endpoint-kind").as_str() {
                     "university" => EndpointKind::University,
@@ -77,10 +83,9 @@ fn parse_args() -> (ServerConfig, bool) {
                     }
                 })
             }
-            "--shards" => shards = val("--shards").parse().ok(),
             "--exact-workers" => exact_workers = true,
             "--access-log" => access_log = true,
-            "--summary-s" => summary_s = val("--summary-s").parse().ok(),
+            "--summary-s" => summary_s = Some(num("--summary-s", val("--summary-s"))),
             "--smoke" => smoke = true,
             "--help" | "-h" => usage(),
             other => {
@@ -117,11 +122,6 @@ fn parse_args() -> (ServerConfig, bool) {
     if let Some(k) = kind {
         for ep in &mut cfg.endpoints {
             ep.kind = k;
-        }
-    }
-    if let Some(n) = shards {
-        for ep in &mut cfg.endpoints {
-            ep.engine.shards = Some(n);
         }
     }
     if exact_workers {
@@ -167,13 +167,7 @@ fn run_smoke(server: Server) -> ExitCode {
         if served != 1 {
             return Err(format!("stats did not count the query: {line}"));
         }
-        let shards = stats
-            .get("endpoints")
-            .and_then(|e| e.get("uni"))
-            .and_then(|e| e.get("shards"))
-            .and_then(Json::as_u64)
-            .unwrap_or(1);
-        println!("smoke ok: {rows} rows, {shards} shard(s), stats verb live");
+        println!("smoke ok: {rows} rows, stats verb live");
         Ok(())
     })();
     server.shutdown();

@@ -35,12 +35,12 @@ pub enum EndpointKind {
 
 /// One named query endpoint.
 ///
-/// The engine options (`rewriting`, `data`, `eval_threads`, `shards`,
-/// `shard_max_inflight`, `ebox`, `rewrite_cache`) live in the nested
-/// [`EngineConfig`] — the same typed struct the builder API uses, so
-/// JSON keys, CLI flags, and builder calls share one parse path and one
-/// precedence rule (explicit setting > env knob > default). A JSON key
-/// the config leaves out stays `None` and defers to the knob.
+/// The engine options (`rewriting`, `data`, `rewrite_cache`, `ebox`)
+/// live in the nested [`EngineConfig`] — the same typed struct the
+/// builder API uses, so JSON keys, CLI flags, and builder calls share
+/// one parse path and one precedence rule (explicit setting > env
+/// knob > default). A JSON key the config leaves out stays `None` and
+/// defers to the knob.
 #[derive(Debug, Clone)]
 pub struct EndpointConfig {
     /// Name clients address in requests.
@@ -52,9 +52,9 @@ pub struct EndpointConfig {
     /// Scenario RNG seed.
     pub seed: u64,
     /// Engine options, forwarded verbatim to construction. The server
-    /// default pins `rewriting=perfectref data=materialized
-    /// eval_threads=1` (the historical serving shape); everything else
-    /// defers to the `QUONTO_*` knobs.
+    /// default pins `rewriting=perfectref data=materialized` (the
+    /// historical serving shape); everything else defers to the
+    /// `QUONTO_*` knobs.
     pub engine: EngineConfig,
     /// Artificial per-request delay (milliseconds) injected before
     /// evaluation. A load-testing / failure-injection knob: lets tests
@@ -76,8 +76,7 @@ impl Default for EndpointConfig {
             seed: 42,
             engine: EngineConfig::new()
                 .rewriting(RewritingMode::PerfectRef)
-                .data_mode(DataMode::Materialized)
-                .eval_threads(1),
+                .data_mode(DataMode::Materialized),
             delay_ms: 0,
             panic_marker: None,
         }
@@ -143,10 +142,44 @@ fn bad(msg: impl Into<String>) -> String {
     s
 }
 
+/// The top-level keys [`ServerConfig::from_json_str`] reads.
+const SERVER_KEYS: &[&str] = &[
+    "addr",
+    "workers",
+    "queue_capacity",
+    "max_line_bytes",
+    "default_timeout_ms",
+    "max_timeout_ms",
+    "summary_every_s",
+    "drain_timeout_ms",
+    "access_log",
+    "exact_workers",
+    "endpoints",
+];
+
+/// The endpoint keys read besides [`ENGINE_CONFIG_KEYS`].
+const ENDPOINT_KEYS: &[&str] = &["name", "kind", "scale", "seed", "delay_ms", "panic_marker"];
+
+/// Rejects a key of the object `v` that no reader knows, so a typo or
+/// an option the server does not have fails instead of being ignored.
+fn reject_unknown_keys(v: &Json, what: &str, known: &[&[&str]]) -> Result<(), String> {
+    let Json::Obj(fields) = v else {
+        return Err(bad(format!("{what} must be an object")));
+    };
+    match fields
+        .iter()
+        .find(|(k, _)| !known.iter().any(|keys| keys.contains(&k.as_str())))
+    {
+        Some((key, _)) => Err(bad(format!("unknown {what} key `{key}`"))),
+        None => Ok(()),
+    }
+}
+
 impl ServerConfig {
     /// Parses a JSON config document; absent fields keep their defaults.
     pub fn from_json_str(src: &str) -> Result<ServerConfig, String> {
         let v = Json::parse(src).map_err(|e| bad(e.to_string()))?;
+        reject_unknown_keys(&v, "top-level", &[SERVER_KEYS])?;
         let mut cfg = ServerConfig::default();
         if let Some(s) = v.get("addr").and_then(Json::as_str) {
             cfg.addr = s.to_owned();
@@ -232,13 +265,6 @@ impl ServerConfig {
             return Err(bad("endpoint names must be non-empty"));
         }
         for e in &self.endpoints {
-            if e.engine.shards.unwrap_or(0) > 1 && e.kind != EndpointKind::UniversityAbox {
-                return Err(bad(format!(
-                    "endpoint `{}`: `shards` requires kind `university-abox` \
-                     (virtual OBDA endpoints delegate evaluation to the SQL sources)",
-                    e.name
-                )));
-            }
             e.engine
                 .validate()
                 .map_err(|msg| bad(format!("endpoint `{}`: {msg}", e.name)))?;
@@ -248,6 +274,7 @@ impl ServerConfig {
 }
 
 fn endpoint_from_json(v: &Json) -> Result<EndpointConfig, String> {
+    reject_unknown_keys(v, "endpoint", &[ENDPOINT_KEYS, ENGINE_CONFIG_KEYS])?;
     let mut ep = EndpointConfig {
         name: v
             .get("name")
@@ -316,7 +343,7 @@ mod tests {
                 {"name": "a", "kind": "university", "scale": 3, "seed": 7,
                  "rewriting": "presto", "data": "virtual", "ebox": "on"},
                 {"name": "b", "kind": "university-abox", "delay_ms": 5,
-                 "shards": 4, "shard_max_inflight": 2}
+                 "panic_marker": "boom", "rewrite_cache": "off"}
               ]
             }"#,
         )
@@ -333,12 +360,12 @@ mod tests {
         assert_eq!(cfg.endpoints[0].engine.data, Some(DataMode::Virtual));
         assert_eq!(cfg.endpoints[0].engine.ebox, Some(mastro::EboxMode::On));
         // Default (the struct default pins the serving shape, leaves
-        // shards to the knob).
-        assert_eq!(cfg.endpoints[0].engine.shards, None);
+        // the rewrite cache to its default).
+        assert_eq!(cfg.endpoints[0].engine.rewrite_cache, None);
         assert_eq!(cfg.endpoints[1].kind, EndpointKind::UniversityAbox);
         assert_eq!(cfg.endpoints[1].delay_ms, 5);
-        assert_eq!(cfg.endpoints[1].engine.shards, Some(4));
-        assert_eq!(cfg.endpoints[1].engine.shard_max_inflight, Some(2));
+        assert_eq!(cfg.endpoints[1].panic_marker.as_deref(), Some("boom"));
+        assert_eq!(cfg.endpoints[1].engine.rewrite_cache, Some(false));
         assert_eq!(cfg.endpoints[1].engine.ebox, None);
     }
 
@@ -353,14 +380,37 @@ mod tests {
             r#"{"endpoints": [{"name":"x","kind":"nope"}]}"#,
             r#"{"endpoints": [{"kind":"university"}]}"#,
             r#"{"workers": "four"}"#,
-            r#"{"endpoints": [{"name":"x","kind":"university","shards":4}]}"#,
-            r#"{"endpoints": [{"name":"x","shards":"two"}]}"#,
             r#"{"endpoints": [{"name":"x","rewriting":"magic"}]}"#,
             r#"{"endpoints": [{"name":"x","ebox":"sometimes"}]}"#,
             r#"{"exact_workers": 1}"#,
         ] {
             assert!(ServerConfig::from_json_str(bad_src).is_err(), "{bad_src}");
         }
+    }
+
+    #[test]
+    fn unknown_keys_are_named_in_the_error() {
+        for (src, key) in [
+            // Keys the server no longer has, at each level.
+            (r#"{"shards": 4}"#, "shards"),
+            (r#"{"endpoints": [{"name":"x","shards":4}]}"#, "shards"),
+            (
+                r#"{"endpoints": [{"name":"x","eval_threads":2}]}"#,
+                "eval_threads",
+            ),
+            // Typos, at each level.
+            (r#"{"wrokers": 2}"#, "wrokers"),
+            (
+                r#"{"endpoints": [{"name":"x","rewritng":"ndl"}]}"#,
+                "rewritng",
+            ),
+        ] {
+            let err = ServerConfig::from_json_str(src).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{src}: {err}");
+        }
+        // A config must be an object at both levels.
+        assert!(ServerConfig::from_json_str("[]").is_err());
+        assert!(ServerConfig::from_json_str(r#"{"endpoints": [1]}"#).is_err());
     }
 
     #[test]

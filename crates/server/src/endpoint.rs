@@ -43,8 +43,8 @@ impl Endpoint {
     /// Builds the endpoint from its config (classification, data
     /// generation, and materialization all happen here, at startup).
     /// Construction goes through the nested [`mastro::EngineConfig`],
-    /// so env knobs (`QUONTO_THREADS`, `QUONTO_TIMINGS`, `QUONTO_EBOX`)
-    /// still apply to anything the config leaves unset.
+    /// so env knobs (`QUONTO_TIMINGS`, `QUONTO_EBOX`) still apply to
+    /// anything the config leaves unset.
     pub fn build(cfg: &EndpointConfig) -> Result<Endpoint, ObdaError> {
         let scenario = university_scenario(cfg.scale.max(1), cfg.seed);
         let engine: Box<dyn QueryEngine> = match cfg.kind {
@@ -62,8 +62,6 @@ impl Endpoint {
             EndpointKind::UniversityAbox => {
                 let sys = demo::build_system(&scenario)?;
                 let mat = sys.materialized_abox()?;
-                // Sharded or not, per config and `QUONTO_SHARDS` — the
-                // unsharded case is exactly the old `build_abox` path.
                 cfg.engine
                     .build_abox_engine(scenario.tbox.clone(), mat.abox.clone())
             }
@@ -135,46 +133,21 @@ impl Endpoint {
         self.engine.reset_stats();
     }
 
-    /// Per-endpoint `STATS` section. The `cache_*` keys are the rollup
-    /// across coordinator and shards (one pair of numbers, same as the
-    /// unsharded shape) so existing dashboards and `loadgen` parsing
-    /// keep working; per-shard detail rides alongside in `shard_detail`
-    /// when the endpoint is sharded.
+    /// Per-endpoint `STATS` section.
     pub fn stats_json(&self) -> Json {
         let stats = self.engine.stats();
         let cache = stats.rewrite_cache;
-        let mut fields = vec![
+        Json::obj(vec![
             ("requests", self.requests.load(Ordering::Relaxed).into()),
             ("rewriting", stats.rewriting.into()),
             ("data", stats.data.into()),
-            ("eval_threads", stats.eval_threads.into()),
             ("tbox_epoch", stats.tbox_epoch.into()),
-            ("shards", stats.shards.into()),
             ("ebox", stats.ebox.into()),
             ("ebox_constraints", stats.ebox_constraints.into()),
             ("cache_hits", cache.hits.into()),
             ("cache_misses", cache.misses.into()),
             ("cache_hit_rate", Json::Num(cache.hit_rate())),
-        ];
-        let per_shard = self.engine.shard_stats();
-        if !per_shard.is_empty() {
-            let detail = per_shard
-                .iter()
-                .map(|s| {
-                    Json::obj(vec![
-                        ("shard", s.shard.into()),
-                        ("individuals", s.individuals.into()),
-                        ("facts", s.facts.into()),
-                        ("requests", s.requests.into()),
-                        ("max_inflight", s.max_inflight.into()),
-                        ("inflight_high_water", s.inflight_high_water.into()),
-                        ("gate_waits", s.gate_waits.into()),
-                    ])
-                })
-                .collect();
-            fields.push(("shard_detail", Json::Arr(detail)));
-        }
-        Json::obj(fields)
+        ])
     }
 }
 
@@ -226,48 +199,6 @@ mod tests {
         assert!(abox.cache_stats().misses > 0);
         abox.reset_cache_stats();
         assert_eq!(abox.cache_stats(), RewriteCacheStats::default());
-    }
-
-    #[test]
-    fn sharded_endpoint_agrees_with_unsharded() {
-        let plain = Endpoint::build(&EndpointConfig {
-            name: "a".into(),
-            kind: EndpointKind::UniversityAbox,
-            scale: 1,
-            ..EndpointConfig::default()
-        })
-        .unwrap();
-        let base = EndpointConfig::default();
-        let sharded = Endpoint::build(&EndpointConfig {
-            name: "s".into(),
-            kind: EndpointKind::UniversityAbox,
-            scale: 1,
-            engine: base.engine.clone().shards(4).shard_max_inflight(2),
-            ..base
-        })
-        .unwrap();
-        for q in [
-            "q(x) :- Student(x)",
-            "q(x, y) :- takesCourse(x, y)",
-            "q(x, y) :- Professor(x), teacherOf(x, y), GradCourse(y)",
-            "q(x) :- GradStudent(x), takesCourse(x, y), teacherOf(z, y), FullProfessor(z)",
-        ] {
-            assert_eq!(
-                sharded.answer(Lang::Cq, q).unwrap(),
-                plain.answer(Lang::Cq, q).unwrap(),
-                "{q}"
-            );
-        }
-        let stats = sharded.stats_json();
-        assert_eq!(stats.get("shards").and_then(Json::as_u64), Some(4));
-        let detail = stats
-            .get("shard_detail")
-            .and_then(Json::as_arr)
-            .expect("sharded endpoint exposes shard_detail");
-        assert_eq!(detail.len(), 4);
-        // The rollup keys keep the unsharded shape.
-        assert!(stats.get("cache_hit_rate").is_some());
-        assert!(plain.stats_json().get("shard_detail").is_none());
     }
 
     #[test]

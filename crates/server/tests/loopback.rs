@@ -42,7 +42,7 @@ fn reference_answers(mix: &[(&'static str, String)]) -> Vec<String> {
     let scenario = university_scenario(SCALE, SEED);
     let sys = demo::build_system(&scenario).expect("reference system");
     let mat = sys.materialized_abox().expect("materializes");
-    let abox_sys = AboxSystem::new(scenario.tbox.clone(), mat.abox.clone()).with_eval_threads(1);
+    let abox_sys = AboxSystem::new(scenario.tbox.clone(), mat.abox.clone());
     mix.iter()
         .map(|(lang, text)| {
             let answers = match *lang {
@@ -60,10 +60,9 @@ fn eight_concurrent_clients_match_sequential_reference() {
     let expected = Arc::new(reference_answers(&mix));
     let mix = Arc::new(mix);
 
-    // Three endpoints over the same scenario: the plain ABox engine,
-    // the full OBDA stack (PerfectRef over the materialized ABox), and
-    // the 4-way sharded scatter-gather engine. All must agree with the
-    // reference on every response.
+    // Two endpoints over the same scenario: the plain ABox engine and
+    // the full OBDA stack (PerfectRef over the materialized ABox). Both
+    // must agree with the reference on every response.
     let server = Server::start(ServerConfig {
         workers: 4,
         endpoints: vec![
@@ -79,14 +78,6 @@ fn eight_concurrent_clients_match_sequential_reference() {
                 kind: EndpointKind::University,
                 scale: SCALE,
                 seed: SEED,
-                ..EndpointConfig::default()
-            },
-            EndpointConfig {
-                name: "uni-sharded".into(),
-                kind: EndpointKind::UniversityAbox,
-                scale: SCALE,
-                seed: SEED,
-                engine: EndpointConfig::default().engine.shards(4),
                 ..EndpointConfig::default()
             },
         ],
@@ -109,10 +100,10 @@ fn eight_concurrent_clients_match_sequential_reference() {
                         // different queries at any instant.
                         let i = (tid + step + round) % mix.len();
                         let (lang, text) = &mix[i];
-                        let endpoint = match (tid + step) % 3 {
-                            0 => "uni-abox",
-                            1 => "uni",
-                            _ => "uni-sharded",
+                        let endpoint = if (tid + step) % 2 == 0 {
+                            "uni-abox"
+                        } else {
+                            "uni"
                         };
                         let resp = client.query(endpoint, lang, text, None);
                         assert_eq!(status(&resp), "ok", "client {tid} query {i}: {resp}");
@@ -135,7 +126,7 @@ fn eight_concurrent_clients_match_sequential_reference() {
     let mut client = Client::connect(addr);
     let stats = client.stats();
     assert_eq!(status(&stats), "ok");
-    for ep in ["uni-abox", "uni", "uni-sharded"] {
+    for ep in ["uni-abox", "uni"] {
         let section = stats
             .get("endpoints")
             .and_then(|e| e.get(ep))
@@ -148,23 +139,6 @@ fn eight_concurrent_clients_match_sequential_reference() {
         assert!(hits > 0, "{ep} cache_hits = 0: {stats}");
         assert!(rate > 0.0, "{ep} cache_hit_rate = 0: {stats}");
     }
-    // The sharded endpoint reports its shard count and per-shard detail;
-    // the unsharded ones stay shaped exactly as before.
-    let sharded = stats
-        .get("endpoints")
-        .and_then(|e| e.get("uni-sharded"))
-        .expect("uni-sharded section");
-    assert_eq!(sharded.get("shards").and_then(Json::as_u64), Some(4));
-    let detail = sharded
-        .get("shard_detail")
-        .and_then(Json::as_arr)
-        .expect("shard_detail array");
-    assert_eq!(detail.len(), 4);
-    let scattered: u64 = detail
-        .iter()
-        .map(|s| s.get("requests").and_then(Json::as_u64).unwrap_or(0))
-        .sum();
-    assert!(scattered > 0, "shards saw no scatter work: {stats}");
     let server_section = stats.get("server").expect("server section");
     let ok = server_section.get("ok").and_then(Json::as_u64).unwrap();
     assert_eq!(ok, (CLIENTS * ROUNDS * mix.len()) as u64, "{stats}");

@@ -1,9 +1,9 @@
 //! Loopback tests for the INSERT/DELETE write verbs: a delta batch sent
 //! over the wire must change what subsequent queries answer, a
 //! delete-then-reinsert round trip must be byte-identical to the
-//! original answers, sharded and unsharded endpoints fed the same
-//! writes must agree, and a virtual-mode endpoint must reject writes
-//! with a structured `unsupported` error instead of a panic.
+//! original answers, PerfectRef and NDL endpoints fed the same writes
+//! must agree, and a virtual-mode endpoint must reject writes with a
+//! structured `unsupported` error instead of a panic.
 
 mod common;
 
@@ -11,11 +11,11 @@ use std::sync::Arc;
 use std::thread;
 
 use common::{status, Client};
-use mastro::DataMode;
+use mastro::{DataMode, RewritingMode};
 use obda_server::{EndpointConfig, EndpointKind, Json, Server, ServerConfig};
 
-/// A server with one materialized ABox endpoint (`uni`), one 4-shard
-/// twin (`sharded`), and one virtual-mode OBDA endpoint (`virt`).
+/// A server with one materialized ABox endpoint (`uni`), its NDL twin
+/// (`uni-ndl`), and one virtual-mode OBDA endpoint (`virt`).
 fn write_server() -> Server {
     Server::start(ServerConfig {
         workers: 2,
@@ -27,10 +27,12 @@ fn write_server() -> Server {
                 ..EndpointConfig::default()
             },
             EndpointConfig {
-                name: "sharded".into(),
+                name: "uni-ndl".into(),
                 kind: EndpointKind::UniversityAbox,
                 scale: 1,
-                engine: EndpointConfig::default().engine.shards(4),
+                engine: EndpointConfig::default()
+                    .engine
+                    .rewriting(RewritingMode::Ndl),
                 ..EndpointConfig::default()
             },
             EndpointConfig {
@@ -126,7 +128,7 @@ fn writes_change_answers_and_round_trip_to_identical() {
 }
 
 #[test]
-fn sharded_endpoint_answers_match_unsharded_after_writes() {
+fn ndl_endpoint_answers_match_perfectref_after_writes() {
     let server = write_server();
     let mut c = Client::connect(server.addr());
     let batches = [
@@ -141,17 +143,17 @@ fn sharded_endpoint_answers_match_unsharded_after_writes() {
         "q(x) :- GradStudent(x), advisor(x, y)",
     ];
     for batch in batches {
-        for ep in ["uni", "sharded"] {
+        for ep in ["uni", "uni-ndl"] {
             let resp = c.roundtrip(&batch.replace("EP", ep));
             assert_eq!(status(&resp), "ok", "{ep}: {resp}");
         }
         for q in queries {
-            let plain = c.query("uni", "cq", q, None);
-            let sharded = c.query("sharded", "cq", q, None);
+            let ucq = c.query("uni", "cq", q, None);
+            let ndl = c.query("uni-ndl", "cq", q, None);
             assert_eq!(
-                plain.get("answers").map(Json::to_string),
-                sharded.get("answers").map(Json::to_string),
-                "sharded diverged on {q}"
+                ucq.get("answers").map(Json::to_string),
+                ndl.get("answers").map(Json::to_string),
+                "NDL diverged on {q}"
             );
         }
     }

@@ -95,8 +95,7 @@ pub struct FnInfo {
     /// (`version += 1`, `…version.fetch_add(`).
     pub bump_lines: Vec<usize>,
     /// Lines with a `ViewMemo` patch-or-invalidate action
-    /// (`maintain_memo(…)`, `maintain_merged_memo(…)`, or a
-    /// `.clear()` on a line naming a memo).
+    /// (`maintain_memo(…)`, or a `.clear()` on a line naming a memo).
     pub memo_lines: Vec<usize>,
     /// Lines that apply a delta to the backing store
     /// (`apply_to_store(…)` call sites).
@@ -677,7 +676,7 @@ fn handle_word(
     }
 
     // Memo actions and store applications (token-level, for A3).
-    if followed_by_paren && (word == "maintain_memo" || word == "maintain_merged_memo") {
+    if followed_by_paren && word == "maintain_memo" {
         b.info.memo_lines.push(line_no);
         // fall through: also a call site, resolved below.
     }
@@ -859,8 +858,8 @@ mod tests {
         assert_eq!(fn_header("let x = f();"), None);
         assert_eq!(impl_header("impl AboxSystem {"), Some("AboxSystem".into()));
         assert_eq!(
-            impl_header("impl QueryEngine for ShardedAboxSystem {"),
-            Some("ShardedAboxSystem".into())
+            impl_header("impl QueryEngine for ObdaSystem {"),
+            Some("ObdaSystem".into())
         );
         assert_eq!(
             impl_header("impl<'a> Iterator for RowIter<'a> {"),

@@ -109,8 +109,13 @@ pub const RULES: &[(&str, &str)] = &[
     ),
 ];
 
+/// Knobs the workspace once read and no longer does. The changelog may
+/// still name them, since it records what each change did; code and
+/// every other doc may not.
+pub const RETIRED_KNOBS: &[&str] = &["QUONTO_SHARDS", "QUONTO_THREADS"];
+
 /// `Condvar` field → the mutex field it must always re-acquire.
-pub const CONDVAR_PAIRS: &[(&str, &str)] = &[("ready", "inner"), ("freed", "inflight")];
+pub const CONDVAR_PAIRS: &[(&str, &str)] = &[("ready", "inner")];
 
 /// Workspace lock-acquisition order (outermost first). Acquiring an
 /// earlier lock while holding a later one is an R2.order violation.
@@ -1270,6 +1275,13 @@ mod tests {
     }
 
     #[test]
+    fn retired_knobs_are_not_registered() {
+        for name in RETIRED_KNOBS {
+            assert!(!quonto::env::is_registered(name), "{name}");
+        }
+    }
+
+    #[test]
     fn r4_accepts_the_ebox_knob() {
         // QUONTO_EBOX is registered (mastro resolves the mode through
         // the registry accessor), so neither code mentions nor doc
@@ -1362,8 +1374,8 @@ pub fn f() {
     #[test]
     fn quonto_name_extraction() {
         assert_eq!(
-            quonto_names("QUONTO_THREADS and QUONTO_TIMINGS=1"),
-            vec!["QUONTO_THREADS", "QUONTO_TIMINGS"]
+            quonto_names("QUONTO_EBOX and QUONTO_TIMINGS=1"),
+            vec!["QUONTO_EBOX", "QUONTO_TIMINGS"]
         );
         // A bare prefix (pattern string) is not a name.
         assert!(quonto_names("starts with QUONTO_ only").is_empty());
